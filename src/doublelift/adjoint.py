@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import is_gg, vertical_length
+from .analysis import gamma_data
 from .doublecat import DoubleCategory, DoubleFunctor, decorated_horizontalization, globular_squares
 from .errors import StructureError
 from .fincat import FunctorData, Monoid, MonoidAction
@@ -27,9 +27,10 @@ def _check_shape(c: DoubleCategory) -> None:
         if not any(c.c0.compose(h, g) == c.c0.identity[0] == c.c0.compose(g, h)
                    for h in range(c.c0.n_morphisms)):
             raise StructureError("not-a-group", f"vertical morphism {g} has no inverse")
-    if not is_gg(c):
+    gd = gamma_data(c)
+    if gd.dc != c:
         raise StructureError("not-gg", "double category is not globularily generated")
-    if vertical_length(c) != 1:
+    if gd.chain.stabilization_index != 1:
         raise StructureError("vertical-length", "vertical length must be 1")
 
 

@@ -9,7 +9,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .doublecat import DoubleCategory, HKey, check_double_axioms, globular_squares
+from .doublecat import DoubleCategory, HKey, globular_squares
 from .errors import StructureError
 from .fincat import FiniteCategory, FunctorData, Monoid, monoid_endomorphisms
 from .grothendieck import Precosheaf
@@ -52,32 +52,45 @@ def _horizontal_step(c: DoubleCategory, squares: set[int]) -> set[int]:
 
 
 @dataclass(frozen=True)
+class VerticalChain:
+    """The increasing chain of square subcategories of a double category,
+    starting at the level generated by globular and horizontal identity
+    squares under vertical composition."""
+
+    levels: tuple[FiniteCategory, ...]
+    level_squares: tuple[tuple[int, ...], ...]
+    stabilization_index: int  # 1-based index of the first repeated level
+
+    def __post_init__(self):
+        for k in range(1, len(self.level_squares)):
+            if not set(self.level_squares[k - 1]) <= set(self.level_squares[k]):
+                raise StructureError("chain-monotonicity", f"level {k} drops squares")
+
+
+@dataclass(frozen=True)
 class GammaData:
     dc: DoubleCategory
     square_ids: tuple[int, ...]  # new square id -> square id in the input
+    chain: VerticalChain  # levels in the square ids of dc
 
 
 def gamma_data(c: DoubleCategory) -> GammaData:
     """Least sub-double category containing every globular square and every
-    horizontal identity square, on all horizontal 1-cells."""
+    horizontal identity square, on all horizontal 1-cells.
+
+    The closure steps are the levels of the vertical chain, which is
+    recorded along the way.  A closed sub-double category of a valid one
+    satisfies every law, so the result is checked for closure only."""
     seed = globular_squares(c) | set(c.hid.morphism_map)
-    squares = _vertical_closure(c, seed)
+    levels = [_vertical_closure(c, seed)]
     while True:
-        bigger = _vertical_closure(c, _horizontal_step(c, squares))
-        if bigger == squares:
+        bigger = _vertical_closure(c, _horizontal_step(c, levels[-1]))
+        if bigger == levels[-1]:
             break
-        squares = bigger
-    square_ids = tuple(sorted(squares))
+        levels.append(bigger)
+    c1 = c.c1.restrict(levels[-1])
+    square_ids = tuple(sorted(levels[-1]))
     pos = {p: i for i, p in enumerate(square_ids)}
-    c1 = FiniteCategory(
-        c.c1.n_objects,
-        tuple(c.c1.dom[p] for p in square_ids),
-        tuple(c.c1.cod[p] for p in square_ids),
-        tuple(pos[c.c1.identity[x]] for x in range(c.c1.n_objects)),
-        {(pos[q], pos[p]): pos[r] for (q, p), r in c.c1.composition.items()
-         if q in pos and p in pos},
-        object_names=c.c1.object_names,
-    )
     src = FunctorData(c1, c.c0, c.src.object_map,
                       tuple(c.src.morphism_map[p] for p in square_ids))
     tgt = FunctorData(c1, c.c0, c.tgt.object_map,
@@ -89,9 +102,16 @@ def gamma_data(c: DoubleCategory) -> GammaData:
         if kind == "ob":
             hcomp[(kind, u, v)] = w
         elif u in pos and v in pos:
+            if w not in pos:
+                raise StructureError("restriction-closure", f"pasting ({u}, {v}) -> {w} dropped")
             hcomp[(kind, pos[u], pos[v])] = pos[w]
-    dc = DoubleCategory(c.c0, c1, src, tgt, hid, hcomp)
-    return GammaData(dc, square_ids)
+    dc = DoubleCategory(c.c0, c1, src, tgt, hid, hcomp, validate=False)
+    chain = VerticalChain(
+        tuple(c1.restrict(pos[p] for p in level) for level in levels),
+        tuple(tuple(sorted(pos[p] for p in level)) for level in levels),
+        len(levels),
+    )
+    return GammaData(dc, square_ids, chain)
 
 
 def gamma(c: DoubleCategory) -> DoubleCategory:
@@ -106,52 +126,10 @@ def is_gg(c: DoubleCategory) -> bool:
 # vertical length
 
 
-@dataclass(frozen=True)
-class VerticalChain:
-    """The increasing chain of square subcategories of a double category,
-    starting at the level generated by globular and horizontal identity
-    squares under vertical composition."""
-
-    levels: tuple[FiniteCategory, ...]
-    level_squares: tuple[tuple[int, ...], ...]
-    stabilization_index: int  # 1-based index of the first repeated level
-
-    def __post_init__(self):
-        for k in range(1, len(self.level_squares)):
-            assert set(self.level_squares[k - 1]) <= set(self.level_squares[k])
-
-
-def _restrict_squares(c: DoubleCategory, squares: set[int]) -> FiniteCategory:
-    ids = sorted(squares)
-    pos = {p: i for i, p in enumerate(ids)}
-    return FiniteCategory(
-        c.c1.n_objects,
-        tuple(c.c1.dom[p] for p in ids),
-        tuple(c.c1.cod[p] for p in ids),
-        tuple(pos[c.c1.identity[x]] for x in range(c.c1.n_objects)),
-        {(pos[q], pos[p]): pos[r] for (q, p), r in c.c1.composition.items()
-         if q in pos and p in pos},
-    )
-
-
 def vertical_chain(c: DoubleCategory) -> VerticalChain:
     """The chain is computed inside the globularily generated part, so it
     always stabilizes at the full square collection of that part."""
-    g = gamma(c)
-    level = _vertical_closure(g, globular_squares(g) | set(g.hid.morphism_map))
-    levels = [_restrict_squares(g, level)]
-    level_squares = [tuple(sorted(level))]
-    stabilization = 1
-    while True:
-        nxt = _vertical_closure(g, _horizontal_step(g, level))
-        if nxt == level:
-            break
-        level = nxt
-        levels.append(_restrict_squares(g, level))
-        level_squares.append(tuple(sorted(level)))
-        stabilization += 1
-    assert len(level) == g.c1.n_morphisms
-    return VerticalChain(tuple(levels), tuple(level_squares), stabilization)
+    return gamma_data(c).chain
 
 
 def vertical_length(c: DoubleCategory) -> int:
@@ -190,12 +168,10 @@ def v1_membership(ld: LiftData, square: int) -> tuple[bool, Optional[tuple[int, 
             break
 
     gd = gamma_data(ld.dc)
-    chain = vertical_chain(ld.dc)
-    old_of_new = gd.square_ids
-    v1_old = {old_of_new[p] for p in chain.level_squares[0]}
-    in_chain = square in v1_old
-    assert (witness is not None) == in_chain, \
-        f"factorization search and chain membership disagree on square {square}"
+    in_chain = square in {gd.square_ids[p] for p in gd.chain.level_squares[0]}
+    if (witness is not None) != in_chain:
+        raise StructureError(
+            "v1-membership", f"factorization search and chain membership disagree on square {square}")
     return witness is not None, witness
 
 

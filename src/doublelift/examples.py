@@ -176,14 +176,15 @@ def build_graded_fixture(g: Monoid, h: Monoid, action: MonoidAction) -> GradedFi
     phi = object_fixing_precosheaf(dec, g, h, action)
     ld = lift_data(dec, phi)
 
-    # squares on the unit 1-cell, indexed as (vertical side, element)
-    def square(x: int, e: int) -> int:
-        return ld.ext.key_index[(x, b.id1[0], e)]
-
     nh = h.size
 
     def enc(x: int, e: int) -> int:
         return x * nh + e
+
+    # squares on the unit 1-cell, indexed as (vertical side, element); the
+    # 2-cells on that 1-cell are the elements of H at the unit degree
+    def square(x: int, e: int) -> int:
+        return ld.ext.key_index[(x, g.unit, enc(g.unit, e))]
 
     def decode(sq: int) -> tuple[int, int]:
         f, _, payload = ld.ext.triples[sq]

@@ -15,7 +15,7 @@ Composition conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from .errors import StructureError
@@ -340,15 +340,16 @@ class FiniteCategory:
     composition: Mapping[tuple[int, int], int]
     object_names: Optional[tuple[str, ...]] = field(default=None, compare=False)
     morphism_names: Optional[tuple[str, ...]] = field(default=None, compare=False)
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
         object.__setattr__(self, "dom", tuple(self.dom))
         object.__setattr__(self, "cod", tuple(self.cod))
         object.__setattr__(self, "identity", tuple(self.identity))
         object.__setattr__(self, "composition", dict(self.composition))
-        _raise_first(
-            category_violations(self.n_objects, self.dom, self.cod, self.identity, self.composition)
-        )
+        if validate:
+            _raise_first(category_violations(
+                self.n_objects, self.dom, self.cod, self.identity, self.composition))
 
     @property
     def n_morphisms(self) -> int:
@@ -363,6 +364,31 @@ class FiniteCategory:
 
     def is_identity(self, f: int) -> bool:
         return self.identity[self.dom[f]] == f
+
+    def restrict(self, morphisms) -> "FiniteCategory":
+        """The wide subcategory on ``morphisms``, renumbered in ascending order.
+
+        A subcategory of a valid category inherits every category law, so
+        only closure is checked: every identity is kept, and so is every
+        composite of kept morphisms.
+        """
+        ids = sorted(morphisms)
+        if ids and not (0 <= ids[0] and ids[-1] < self.n_morphisms):
+            raise StructureError("restriction-closure", "morphism outside the category")
+        pos = {f: i for i, f in enumerate(ids)}
+        for a, i in enumerate(self.identity):
+            if i not in pos:
+                raise StructureError("restriction-closure", f"identity of object {a} dropped")
+        comp = {}
+        for (g, f), h in self.composition.items():
+            if g in pos and f in pos:
+                if h not in pos:
+                    raise StructureError("restriction-closure", f"({g}, {f}) -> {h} dropped")
+                comp[(pos[g], pos[f])] = pos[h]
+        return FiniteCategory(
+            self.n_objects, tuple(self.dom[f] for f in ids), tuple(self.cod[f] for f in ids),
+            tuple(pos[i] for i in self.identity), comp, self.object_names, validate=False,
+        )
 
     def morphism_pairs(self) -> Iterator[tuple[int, int]]:
         """All composable pairs (g, f)."""

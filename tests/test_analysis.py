@@ -172,3 +172,22 @@ def test_surjectivity_criterion_implies_gg(corpus_lifts):
         if gg_criterion_surjective(ld.phi):
             assert is_gg(ld.dc), tag
     assert applied >= 5
+
+
+def test_gamma_is_unvalidated_but_closed(corpus_lifts):
+    # gamma skips the axiom suite; re-running it on the result finds no
+    # failure because a closed sub-double category inherits every law
+    from doublelift.doublecat import check_double_axioms
+
+    for tag, ld in corpus_lifts:
+        gd = gamma_data(ld.dc)
+        assert all(ok for _, ok, _ in check_double_axioms(gd.dc)), tag
+        assert gd.chain.level_squares[-1] == tuple(range(gd.dc.c1.n_morphisms)), tag
+        assert vertical_chain(ld.dc) == gd.chain, tag
+
+
+def test_vertical_chain_rejects_a_shrinking_level():
+    from doublelift.analysis import VerticalChain
+
+    with pytest.raises(StructureError, match="chain-monotonicity"):
+        VerticalChain((), ((0, 1), (0,)), 2)

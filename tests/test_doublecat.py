@@ -146,3 +146,53 @@ def test_square_shape_invariant():
     with pytest.raises(StructureError, match="square-shape"):
         Square(f=1, g=2, payload=0, top=0, bottom=0,
                f_is_identity=False, g_is_identity=False)
+
+
+def test_law_list_matches_the_report():
+    from doublelift.doublecat import LAWS
+
+    assert LAWS == tuple(LAW_NAMES)
+
+
+def test_boundary_violations_short_circuit():
+    dc = _semidirect_dc()
+    hcomp = dict(dc.hcomp)
+    # a pasting that lands on the wrong vertical sides; the equational laws
+    # after it would look up pastings that do not exist
+    key = next(k for k in hcomp if k[0] == "sq"
+               and dc.src.morphism_map[hcomp[k]] != dc.src.morphism_map[0])
+    hcomp[key] = 0
+    bad = DoubleCategory(dc.c0, dc.c1, dc.src, dc.tgt, dc.hid, hcomp, validate=False)
+    report = check_double_axioms(bad)
+    assert [law for law, _, _ in report] == LAW_NAMES[:4]
+    assert not report[-1][1]
+
+
+def test_wiring_errors_are_named_without_asserts():
+    import os
+    import subprocess
+    import sys
+
+    import doublelift
+
+    # src lands in a one-morphism category instead of c0, then hid lands
+    # there instead of in c1; __debug__ is False under -O
+    code = (
+        "from doublelift.doublecat import DoubleCategory, trivial_double_category\n"
+        "from doublelift.errors import StructureError\n"
+        "from doublelift.fincat import FunctorData, Monoid, delooping\n"
+        "dc = trivial_double_category(delooping(Monoid.cyclic(3)))\n"
+        "point = delooping(Monoid.trivial())\n"
+        "src = FunctorData(dc.c1, point, (0,), (0, 0, 0))\n"
+        "hid = FunctorData(dc.c0, point, (0,), (0, 0, 0))\n"
+        "for s, h in ((src, dc.hid), (dc.src, hid)):\n"
+        "    try:\n"
+        "        DoubleCategory(dc.c0, dc.c1, s, dc.tgt, h, dc.hcomp)\n"
+        "    except StructureError as exc:\n"
+        "        print(exc.law, __debug__)\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(doublelift.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n") == ["wiring False", "wiring False", ""]

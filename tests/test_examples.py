@@ -90,6 +90,20 @@ def test_graded_fixture_with_the_trivial_action():
     assert fx.twisted.tensor_mor == graded_category(z2, z4).tensor_mor
 
 
+def test_graded_fixture_with_the_unit_elsewhere():
+    # Z2 with unit 1 and Z3 with unit 2; the degree that is not the unit
+    # acts by inversion
+    g = Monoid(((1, 0), (0, 1)), 1)
+    h = Monoid(((1, 2, 0), (2, 0, 1), (0, 1, 2)), 2)
+    inversion = tuple(h.inverse(x) for x in range(3))
+    fx = build_graded_fixture(g, h, MonoidAction(g, h, (inversion, (0, 1, 2))))
+    assert not monoidal_functor_violations(
+        fx.vertical, fx.twisted, fx.iso_object_map, fx.iso_morphism_map)
+    ref = build_graded_fixture(Monoid.cyclic(2), Monoid.cyclic(3),
+                               MonoidAction.inversion(Monoid.cyclic(3)))
+    assert fx.dc.c1.n_morphisms == ref.dc.c1.n_morphisms
+
+
 def test_two_object_fixture_lifts():
     fx = build_two_object_fixture()
     assert fx.dec.bicat.n0 == 2

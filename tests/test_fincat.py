@@ -182,3 +182,25 @@ def test_end_category_of_a_suspension_recovers_the_monoid():
     assert end.base.n_objects == 1
     assert end.base.n_morphisms == 3
     assert end.tensor_mor[(1, 2)] == 0
+
+
+def test_restrict_keeps_a_closed_subset():
+    z4 = delooping(Monoid.cyclic(4))
+    sub = z4.restrict({0, 2})
+    assert sub.n_morphisms == 2
+    assert sub.identity == (0,)
+    assert sub.composition == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+    # the restriction of a valid category is itself valid
+    assert sub == FiniteCategory(sub.n_objects, sub.dom, sub.cod, sub.identity, sub.composition)
+
+
+@pytest.mark.parametrize("subset,detail", [
+    ({1, 2}, "identity of object 0"),
+    ({0, 1}, "(1, 1) -> 2"),
+    ({0, 4}, "outside"),
+])
+def test_restrict_checks_closure(subset, detail):
+    z4 = delooping(Monoid.cyclic(4))
+    with pytest.raises(StructureError, match="restriction-closure") as err:
+        z4.restrict(subset)
+    assert detail in err.value.detail

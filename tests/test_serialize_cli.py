@@ -60,6 +60,48 @@ def test_corrupted_file_fails_with_a_named_law():
     assert err.value.law in ("associativity", "unit-law")
 
 
+def _graded_lift():
+    from doublelift.examples import fixture_corpus
+    from doublelift.lift import lift_data
+
+    tag, dec, phi = next(t for t in fixture_corpus() if t[0] == "graded:z2:z3:inv")
+    return lift_data(dec, phi).dc
+
+
+def test_corrupted_square_pastings_fail_with_a_named_law():
+    from doublelift.doublecat import LAWS, DoubleCategory
+
+    dc = _graded_lift()
+    laws = set()
+    for key, old in dc.hcomp.items():
+        if key[0] != "sq":
+            continue
+        for value in range(dc.c1.n_morphisms):
+            if value == old:
+                continue
+            hcomp = {**dc.hcomp, key: value}
+            with pytest.raises(StructureError) as err:
+                DoubleCategory(dc.c0, dc.c1, dc.src, dc.tgt, dc.hid, hcomp)
+            laws.add(err.value.law)
+    assert laws <= set(LAWS)
+    assert "hcomp-boundary" in laws and "interchange" in laws
+
+
+def test_cli_check_reports_a_corrupted_square_pasting(tmp_path, capsys):
+    dc = _graded_lift()
+    obj = json.loads(dumps(dc))
+    # paste two squares into one on the wrong vertical sides
+    entry = next(e for e in obj["hcomp"]
+                 if e[0] == "sq" and dc.src.morphism_map[e[3]] != dc.src.morphism_map[0])
+    entry[3] = 0
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  load: hcomp-boundary" in captured.out
+    assert "first failing law: load" in captured.err
+
+
 def _write(tmp_path, name, value):
     path = tmp_path / name
     dump(value, str(path))
