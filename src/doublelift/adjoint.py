@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import gamma_data
+from .analysis import gamma_data, single_object_monoids
 from .doublecat import DoubleCategory, DoubleFunctor, decorated_horizontalization, globular_squares
 from .errors import StructureError
 from .fincat import FunctorData, Monoid, MonoidAction
@@ -24,9 +24,7 @@ def _check_shape(c: DoubleCategory) -> None:
     if c.c1.n_objects != 1:
         raise StructureError("shape-mismatch", "expected a single horizontal 1-cell")
     for g in range(c.c0.n_morphisms):
-        if not any(c.c0.compose(h, g) == c.c0.identity[0] == c.c0.compose(g, h)
-                   for h in range(c.c0.n_morphisms)):
-            raise StructureError("not-a-group", f"vertical morphism {g} has no inverse")
+        _c0_inverse(c, g)
     gd = gamma_data(c)
     if gd.dc != c:
         raise StructureError("not-gg", "double category is not globularily generated")
@@ -38,7 +36,7 @@ def _c0_inverse(c: DoubleCategory, g: int) -> int:
     for h in range(c.c0.n_morphisms):
         if c.c0.compose(h, g) == c.c0.identity[0] == c.c0.compose(g, h):
             return h
-    raise StructureError("not-a-group", f"vertical morphism {g}")
+    raise StructureError("not-a-group", f"vertical morphism {g} has no inverse")
 
 
 def extract_phi(c: DoubleCategory) -> Precosheaf:
@@ -72,16 +70,7 @@ def extracted_action(c: DoubleCategory) -> MonoidAction:
     """The same data as extract_phi, as a monoid action of G on the
     globular monoid A."""
     phi = extract_phi(c)
-    g = Monoid(
-        tuple(tuple(c.c0.compose(x, y) for y in range(c.c0.n_morphisms))
-              for x in range(c.c0.n_morphisms)),
-        c.c0.identity[0],
-    )
-    b = phi.dec.bicat
-    a = Monoid(
-        tuple(tuple(b.vcomp[(x, y)] for y in range(b.n2)) for x in range(b.n2)),
-        b.id2[0],
-    )
+    g, a = single_object_monoids(phi.dec)
     maps = tuple(tuple(phi.on_cells2[m][x] for x in range(a.size)) for m in range(g.size))
     return MonoidAction(g, a, maps)
 

@@ -11,16 +11,20 @@ from typing import Mapping, Optional
 
 from .doublecat import DoubleCategory, HKey, globular_squares
 from .errors import StructureError
-from .fincat import FiniteCategory, FunctorData, Monoid, monoid_endomorphisms
+from .fincat import FiniteCategory, FunctorData, Monoid, monoid_automorphisms
 from .grothendieck import Precosheaf
 from .lift import LiftData
+from .twocat import DecoratedBicategory
 
 DEFAULT_SEARCH_LIMIT = 10 ** 7
 
 
 def _search_limit() -> int:
     raw = os.environ.get("DOUBLELIFT_SEARCH_LIMIT")
-    return int(raw) if raw else DEFAULT_SEARCH_LIMIT
+    try:
+        return int(raw) if raw else DEFAULT_SEARCH_LIMIT
+    except ValueError:
+        raise StructureError("search-limit", f"DOUBLELIFT_SEARCH_LIMIT={raw!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +207,11 @@ class SearchCertificate:
         return not self.exhausted
 
 
-def _single_object_monoids(ld: LiftData) -> tuple[Monoid, Monoid]:
-    """(M, A) for a lift over a one-object, one-1-cell decorated bicategory."""
-    b = ld.dec.bicat
-    bstar = ld.dec.decoration
+def single_object_monoids(dec: DecoratedBicategory) -> tuple[Monoid, Monoid]:
+    """(M, A) for a one-object, one-1-cell decorated bicategory: the monoid
+    of decoration morphisms and the globular monoid of 2-cells."""
+    b = dec.bicat
+    bstar = dec.decoration
     if b.n0 != 1 or bstar.n_objects != 1:
         raise StructureError("shape-mismatch", "folding search needs a single 0-cell")
     if b.n1 != 1:
@@ -226,9 +231,9 @@ def _single_object_monoids(ld: LiftData) -> tuple[Monoid, Monoid]:
 
 
 def _folding_search(ld: LiftData, mirrored: bool):
-    m, a = _single_object_monoids(ld)
+    m, a = single_object_monoids(ld.dec)
     phi = ld.phi
-    autos = [f for f in monoid_endomorphisms(a) if len(set(f)) == a.size]
+    autos = monoid_automorphisms(a)
     ident = tuple(range(a.size))
     # the identity vertical morphism is pinned to the identity bijection
     order = [x for x in range(m.size) if x != m.unit]
@@ -284,10 +289,11 @@ def _folding_search(ld: LiftData, mirrored: bool):
 
 def validate_folding(ld: LiftData, fold: Folding) -> None:
     """Re-check the folding laws by exhaustive enumeration."""
-    m, a = _single_object_monoids(ld)
+    m, a = single_object_monoids(ld.dec)
     phi = ld.phi
     lams = fold.payload_maps
-    assert len(lams) == m.size
+    if len(lams) != m.size:
+        raise StructureError("folding-shape", f"{len(lams)} bijections for {m.size} vertical morphisms")
     if lams[m.unit] != tuple(range(a.size)):
         raise StructureError("folding-identity", "identity vertical morphism not fixed")
     for x in range(m.size):

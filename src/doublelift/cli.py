@@ -150,6 +150,11 @@ def cmd_adjunction(args, report: Report) -> None:
         if not isinstance(phi, Precosheaf):
             report.add("input-kinds", False, f"{path} is not a precosheaf")
             return
+        bstar = phi.dec.decoration
+        if bstar.n_objects != 1 or bstar.n_morphisms != g.size or phi.dec.bicat.n2 != a.size:
+            report.add("input-kinds", False, f"{path} is not a one-object precosheaf with "
+                                             f"{g.size} morphisms and {a.size} 2-cells")
+            return
         maps = tuple(
             tuple(phi.on_cells2[m][x] for x in range(a.size)) for m in range(g.size)
         )

@@ -150,13 +150,16 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
     if any(not ok for _, ok, _ in report):
         return report
 
+    # a pasting result outside the cells has no boundary, so it fails here
     record("hcomp-boundary", first(
         (x, y) for (kind, x, y) in c.hcomp if kind == "ob"
-        and (c.left0(c.hob(x, y)) != c.left0(x) or c.right0(c.hob(x, y)) != c.right0(y))
+        and (not 0 <= c.hob(x, y) < c1.n_objects
+             or c.left0(c.hob(x, y)) != c.left0(x) or c.right0(c.hob(x, y)) != c.right0(y))
     ) or first(
         (p, q)
         for (kind, p, q) in c.hcomp if kind == "sq"
-        and (c.src.morphism_map[c.hsq(p, q)] != c.src.morphism_map[p]
+        and (not 0 <= c.hsq(p, q) < c1.n_morphisms
+             or c.src.morphism_map[c.hsq(p, q)] != c.src.morphism_map[p]
              or c.tgt.morphism_map[c.hsq(p, q)] != c.tgt.morphism_map[q]
              or c1.dom[c.hsq(p, q)] != c.hob(c1.dom[p], c1.dom[q])
              or c1.cod[c.hsq(p, q)] != c.hob(c1.cod[p], c1.cod[q]))
@@ -299,13 +302,12 @@ class DoubleFunctor:
     f0: FunctorData
     f1: FunctorData
 
-    def __post_init__(self):
-        pass
-
     def check(self, c: DoubleCategory, d: DoubleCategory) -> None:
         """Exhaustively verify compatibility with src, tgt, hid and hcomp."""
-        assert self.f0.source == c.c0 and self.f0.target == d.c0
-        assert self.f1.source == c.c1 and self.f1.target == d.c1
+        if self.f0.source != c.c0 or self.f0.target != d.c0:
+            raise StructureError("wiring", "f0 is not a functor between the object categories")
+        if self.f1.source != c.c1 or self.f1.target != d.c1:
+            raise StructureError("wiring", "f1 is not a functor between the square categories")
         for x in range(c.c1.n_objects):
             if d.left0(self.f1.object_map[x]) != self.f0.object_map[c.left0(x)] or \
                d.right0(self.f1.object_map[x]) != self.f0.object_map[c.right0(x)]:

@@ -55,16 +55,20 @@ def build_semidirect_fixture(n: Monoid, m: Monoid, action: MonoidAction) -> Semi
     sd = semidirect_product(n, m, action)
 
     endo, elements = endomorphism_monoid_of_object(ld.ext.cat, 0)
-    assert elements == tuple(range(ld.ext.cat.n_morphisms))
+    if elements != tuple(range(ld.ext.cat.n_morphisms)):
+        raise StructureError("semidirect-isomorphism", "some square is not an endomorphism")
     bij = []
     for x in range(n.size):
         for y in range(m.size):
             bij.append(ld.ext.key_index[(y, 0, x)])
-    assert sorted(bij) == list(range(sd.size))
+    if sorted(bij) != list(range(sd.size)):
+        raise StructureError("semidirect-isomorphism", "squares are not in bijection with N x| M")
     for e1 in range(sd.size):
         for e2 in range(sd.size):
-            assert bij[sd.mul(e1, e2)] == endo.mul(bij[e1], bij[e2]), (e1, e2)
-    assert bij[sd.unit] == endo.unit
+            if bij[sd.mul(e1, e2)] != endo.mul(bij[e1], bij[e2]):
+                raise StructureError("semidirect-isomorphism", f"product ({e1}, {e2})")
+    if bij[sd.unit] != endo.unit:
+        raise StructureError("semidirect-isomorphism", "unit")
     return SemidirectFixture(dec, phi, ld.dc, ld, sd, endo, tuple(bij))
 
 
@@ -300,7 +304,8 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    assert len(a[0]) == len(b)
+    if len(a[0]) != len(b):
+        raise StructureError("matrix-shape", f"{len(a[0])} columns against {len(b)} rows")
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
         for i in range(len(a))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import StructureError
 
@@ -390,10 +390,6 @@ class FiniteCategory:
             tuple(pos[i] for i in self.identity), comp, self.object_names, validate=False,
         )
 
-    def morphism_pairs(self) -> Iterator[tuple[int, int]]:
-        """All composable pairs (g, f)."""
-        return iter(self.composition.keys())
-
     @staticmethod
     def discrete(n: int) -> "FiniteCategory":
         return FiniteCategory(
@@ -602,22 +598,25 @@ class EndData:
     morphisms_as_cells2: tuple[int, ...]
 
 
-def end_data(b: "StrictBicategory", a: int) -> EndData:
-    if not (0 <= a < b.n0):
-        raise StructureError("unknown-cell", f"0-cell {a}")
-    cells1 = tuple(x for x in range(b.n1) if b.dom0[x] == a and b.cod0[x] == a)
+def vertical_category(b: "StrictBicategory", cells1, cells2) -> FiniteCategory:
+    """The 1-cells ``cells1`` of ``b`` and the 2-cells ``cells2`` between
+    them under vertical composition, renumbered in the given orders."""
     pos1 = {x: i for i, x in enumerate(cells1)}
-    cells2 = tuple(p for p in range(b.n2) if b.dom1[p] in pos1)
     pos2 = {p: i for i, p in enumerate(cells2)}
     dom = tuple(pos1[b.dom1[p]] for p in cells2)
     cod = tuple(pos1[b.cod1[p]] for p in cells2)
     identity = tuple(pos2[b.id2[x]] for x in cells1)
-    comp = {
-        (pos2[q], pos2[p]): pos2[b.vcomp[(q, p)]]
-        for (q, p) in b.vcomp
-        if q in pos2 and p in pos2
-    }
-    base = FiniteCategory(len(cells1), dom, cod, identity, comp)
+    comp = {(pos2[q], pos2[p]): pos2[r] for (q, p), r in b.vcomp.items() if q in pos2 and p in pos2}
+    return FiniteCategory(len(cells1), dom, cod, identity, comp)
+
+
+def end_data(b: "StrictBicategory", a: int) -> EndData:
+    if not (0 <= a < b.n0):
+        raise StructureError("unknown-cell", f"0-cell {a}")
+    cells1, cells2 = b.endo_cells[a]
+    base = vertical_category(b, cells1, cells2)
+    pos1 = {x: i for i, x in enumerate(cells1)}
+    pos2 = {p: i for i, p in enumerate(cells2)}
     tensor_obj = {
         (pos1[x], pos1[y]): pos1[b.hcomp1[(x, y)]] for x in cells1 for y in cells1
     }

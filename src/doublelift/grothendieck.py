@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 from .errors import StructureError
 from .fincat import FiniteCategory, FunctorData, MonoidAction, end_data
-from .twocat import DecoratedBicategory, split_cells
+from .twocat import DecoratedBicategory, check_monoidal_map
 
 
 @dataclass(frozen=True)
@@ -29,50 +29,16 @@ class Precosheaf:
         self._validate()
 
     def _validate(self):
-        dec, b = self.dec, self.dec.bicat
-        bstar = dec.decoration
+        b, bstar = self.dec.bicat, self.dec.decoration
         if len(self.on_cells1) != bstar.n_morphisms or len(self.on_cells2) != bstar.n_morphisms:
             raise StructureError("action-shape", "one action per decoration morphism required")
-        endo_at = [
-            {x for x in range(b.n1) if b.is_endo_1cell(x) and b.dom0[x] == a}
-            for a in range(b.n0)
-        ]
-        cells2_at = [
-            {p for p in range(b.n2) if b.dom1[p] in endo_at[a]} for a in range(b.n0)
-        ]
         for f in range(bstar.n_morphisms):
-            a, bb = bstar.dom[f], bstar.cod[f]
-            m1, m2 = self.on_cells1[f], self.on_cells2[f]
-            if set(m1) != endo_at[a] or not set(m1.values()) <= endo_at[bb]:
-                raise StructureError("action-domain", f"1-cell map of morphism {f}")
-            if set(m2) != cells2_at[a] or not set(m2.values()) <= cells2_at[bb]:
-                raise StructureError("action-domain", f"2-cell map of morphism {f}")
-            for p in cells2_at[a]:
-                if b.dom1[m2[p]] != m1[b.dom1[p]] or b.cod1[m2[p]] != m1[b.cod1[p]]:
-                    raise StructureError("action-boundary", f"morphism {f}, 2-cell {p}")
-            for x in endo_at[a]:
-                if m2[b.id2[x]] != b.id2[m1[x]]:
-                    raise StructureError("action-identity", f"morphism {f}, 1-cell {x}")
-            for (q, p) in b.vcomp:
-                if q in m2 and p in m2:
-                    if m2[b.vcomp[(q, p)]] != b.vcomp[(m2[q], m2[p])]:
-                        raise StructureError("action-composition", f"morphism {f}, ({q}, {p})")
-            # strict monoidality
-            if m1[b.id1[a]] != b.id1[bb]:
-                raise StructureError("action-monoidal-unit", f"morphism {f}")
-            for x in endo_at[a]:
-                for y in endo_at[a]:
-                    if m1[b.hcomp1[(x, y)]] != b.hcomp1[(m1[x], m1[y])]:
-                        raise StructureError("action-monoidal", f"morphism {f}, 1-cells ({x}, {y})")
-            for p in cells2_at[a]:
-                for q in cells2_at[a]:
-                    if m2[b.hcomp2[(p, q)]] != b.hcomp2[(m2[p], m2[q])]:
-                        raise StructureError("action-monoidal", f"morphism {f}, 2-cells ({p}, {q})")
+            check_monoidal_map(b, bstar.dom[f], bstar.cod[f], self.on_cells1[f], self.on_cells2[f],
+                               "action", f"morphism {f}", ("action-domain", f"map of morphism {f}"))
         # functoriality of the whole family
-        for a in range(bstar.n_objects):
-            i = bstar.identity[a]
-            if self.on_cells1[i] != {x: x for x in endo_at[a]} or \
-               self.on_cells2[i] != {p: p for p in cells2_at[a]}:
+        ids1, ids2 = b.identity_maps(range(bstar.n_objects))
+        for a, i in enumerate(bstar.identity):
+            if self.on_cells1[i] != ids1[a] or self.on_cells2[i] != ids2[a]:
                 raise StructureError("precosheaf-identity", f"object {a}")
         for (g, f), h in bstar.composition.items():
             comp1 = {x: self.on_cells1[g][v] for x, v in self.on_cells1[f].items()}
@@ -116,19 +82,12 @@ def precosheaf_from_action(dec: DecoratedBicategory, action: MonoidAction) -> Pr
 def identity_precosheaf(dec: DecoratedBicategory) -> Precosheaf:
     """All actions the identity. Only well-typed when every decoration
     morphism is an endomorphism."""
-    b = dec.bicat
     bstar = dec.decoration
-    on1, on2 = [], []
     for f in range(bstar.n_morphisms):
-        a, bb = bstar.dom[f], bstar.cod[f]
-        if a != bb:
+        if bstar.dom[f] != bstar.cod[f]:
             raise StructureError("shape-mismatch",
                                  f"morphism {f} is not an endomorphism; no identity action")
-        endo = [x for x in range(b.n1) if b.is_endo_1cell(x) and b.dom0[x] == a]
-        cells2 = [p for p in range(b.n2) if b.dom1[p] in set(endo)]
-        on1.append({x: x for x in endo})
-        on2.append({p: p for p in cells2})
-    return Precosheaf(dec, tuple(on1), tuple(on2))
+    return Precosheaf(dec, *dec.bicat.identity_maps(bstar.dom))
 
 
 def constant_precosheaf(dec: DecoratedBicategory) -> Precosheaf:
@@ -140,17 +99,12 @@ def constant_precosheaf(dec: DecoratedBicategory) -> Precosheaf:
     """
     b = dec.bicat
     bstar = dec.decoration
-    on1, on2 = [], []
+    on1, on2 = (list(maps) for maps in b.identity_maps(bstar.dom))
     for f in range(bstar.n_morphisms):
-        a, bb = bstar.dom[f], bstar.cod[f]
-        endo = [x for x in range(b.n1) if b.is_endo_1cell(x) and b.dom0[x] == a]
-        cells2 = [p for p in range(b.n2) if b.dom1[p] in set(endo)]
-        if bstar.is_identity(f):
-            on1.append({x: x for x in endo})
-            on2.append({p: p for p in cells2})
-        else:
-            on1.append({x: b.id1[bb] for x in endo})
-            on2.append({p: b.id2[b.id1[bb]] for p in cells2})
+        if not bstar.is_identity(f):
+            unit = b.id1[bstar.cod[f]]
+            on1[f] = dict.fromkeys(on1[f], unit)
+            on2[f] = dict.fromkeys(on2[f], b.id2[unit])
     return Precosheaf(dec, tuple(on1), tuple(on2))
 
 
@@ -171,22 +125,14 @@ class TotalCategory:
 def total_category(phi: Precosheaf) -> TotalCategory:
     dec, b = phi.dec, phi.dec.bicat
     bstar = dec.decoration
-    objects = [
-        (a, x)
-        for a in range(bstar.n_objects)
-        for x in range(b.n1)
-        if b.is_endo_1cell(x) and b.dom0[x] == a
-    ]
+    objects = [(a, x) for a in range(bstar.n_objects) for x in b.endo_cells[a][0]]
     obj_pos = {pair: i for i, pair in enumerate(objects)}
-    morphisms: list[tuple[int, int, int]] = []
-    for f in range(bstar.n_morphisms):
-        for (a, x) in objects:
-            if a != bstar.dom[f]:
-                continue
-            fx = phi.on_cells1[f][x]
-            for p in range(b.n2):
-                if b.dom1[p] == fx:
-                    morphisms.append((f, x, p))
+    morphisms = [
+        (f, x, p)
+        for f in range(bstar.n_morphisms)
+        for x in b.endo_cells[bstar.dom[f]][0]
+        for p in b.endo_cells[bstar.cod[f]][1] if b.dom1[p] == phi.on_cells1[f][x]
+    ]
     mor_pos = {t: i for i, t in enumerate(morphisms)}
     dom = tuple(obj_pos[(bstar.dom[f], x)] for (f, x, p) in morphisms)
     cod = tuple(obj_pos[(bstar.cod[f], b.cod1[p])] for (f, x, p) in morphisms)
@@ -244,12 +190,9 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
     for f in range(bstar.n_morphisms):
         if bstar.is_identity(f):
             continue
-        a = bstar.dom[f]
-        for x in range(b.n1):
-            if not (b.is_endo_1cell(x) and b.dom0[x] == a):
-                continue
+        for x in b.endo_cells[bstar.dom[f]][0]:
             fx = phi.on_cells1[f][x]
-            for p in range(b.n2):
+            for p in b.endo_cells[bstar.cod[f]][1]:
                 if b.dom1[p] != fx:
                     continue
                 idx = len(dom)
@@ -278,6 +221,3 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
     cat = FiniteCategory(b.n1, tuple(dom), tuple(cod), identity, comp)
     return ExtendedTotal(cat, tuple(triples), tuple(pair_info), key_index)
 
-
-def rest_part_object_count(dec: DecoratedBicategory) -> int:
-    return split_cells(dec.bicat).rest_part.n_objects

@@ -16,7 +16,7 @@ from .doublecat import DoubleCategory, DoubleFunctor, HKey, Square, decorated_ho
 from .errors import StructureError
 from .fincat import FunctorData
 from .grothendieck import ExtendedTotal, Precosheaf, constant_precosheaf, extended_total
-from .twocat import DecoratedBicategory
+from .twocat import DecoratedBicategory, check_monoidal_map
 
 __all__ = [
     "LiftData", "lift", "lift_data", "constant_precosheaf",
@@ -123,38 +123,12 @@ class PrecosheafMap:
         object.__setattr__(self, "comp2", tuple(dict(m) for m in self.comp2))
         if self.phi.dec != self.psi.dec:
             raise StructureError("naturality", "pre-cosheaves over different decorations")
-        dec = self.phi.dec
-        b = dec.bicat
-        bstar = dec.decoration
+        b, bstar = self.phi.dec.bicat, self.phi.dec.decoration
         if len(self.comp1) != bstar.n_objects or len(self.comp2) != bstar.n_objects:
             raise StructureError("component-shape", "one component per decoration object")
         for a in range(bstar.n_objects):
-            endo = {x for x in range(b.n1) if b.is_endo_1cell(x) and b.dom0[x] == a}
-            cells2 = {p for p in range(b.n2) if b.dom1[p] in endo}
-            m1, m2 = self.comp1[a], self.comp2[a]
-            if set(m1) != endo or not set(m1.values()) <= endo:
-                raise StructureError("component-shape", f"1-cell component at object {a}")
-            if set(m2) != cells2 or not set(m2.values()) <= cells2:
-                raise StructureError("component-shape", f"2-cell component at object {a}")
-            for p in cells2:
-                if b.dom1[m2[p]] != m1[b.dom1[p]] or b.cod1[m2[p]] != m1[b.cod1[p]]:
-                    raise StructureError("component-boundary", f"object {a}, 2-cell {p}")
-            for x in endo:
-                if m2[b.id2[x]] != b.id2[m1[x]]:
-                    raise StructureError("component-identity", f"object {a}, 1-cell {x}")
-            for (q, p) in b.vcomp:
-                if q in m2 and p in m2 and m2[b.vcomp[(q, p)]] != b.vcomp[(m2[q], m2[p])]:
-                    raise StructureError("component-composition", f"object {a}, ({q}, {p})")
-            if m1[b.id1[a]] != b.id1[a]:
-                raise StructureError("component-monoidal-unit", f"object {a}")
-            for x in endo:
-                for y in endo:
-                    if m1[b.hcomp1[(x, y)]] != b.hcomp1[(m1[x], m1[y])]:
-                        raise StructureError("component-monoidal", f"object {a}, 1-cells ({x}, {y})")
-            for p in cells2:
-                for q in cells2:
-                    if m2[b.hcomp2[(p, q)]] != b.hcomp2[(m2[p], m2[q])]:
-                        raise StructureError("component-monoidal", f"object {a}, 2-cells ({p}, {q})")
+            check_monoidal_map(b, a, a, self.comp1[a], self.comp2[a], "component", f"object {a}",
+                               ("component-shape", f"component at object {a}"))
         # naturality: component(cod f) after phi_f = psi_f after component(dom f)
         for f in range(bstar.n_morphisms):
             a, bb = bstar.dom[f], bstar.cod[f]
@@ -167,15 +141,8 @@ class PrecosheafMap:
 
     @staticmethod
     def identity(phi: Precosheaf) -> "PrecosheafMap":
-        dec = phi.dec
-        b = dec.bicat
-        comp1, comp2 = [], []
-        for a in range(dec.decoration.n_objects):
-            endo = [x for x in range(b.n1) if b.is_endo_1cell(x) and b.dom0[x] == a]
-            cells2 = [p for p in range(b.n2) if b.dom1[p] in set(endo)]
-            comp1.append({x: x for x in endo})
-            comp2.append({p: p for p in cells2})
-        return PrecosheafMap(phi, phi, tuple(comp1), tuple(comp2))
+        objects = range(phi.dec.decoration.n_objects)
+        return PrecosheafMap(phi, phi, *phi.dec.bicat.identity_maps(objects))
 
     def compose(self, other: "PrecosheafMap") -> "PrecosheafMap":
         """self after other (vertical composition of transformations)."""

@@ -13,6 +13,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import StructureError
@@ -20,6 +21,7 @@ from .fincat import (
     FiniteCategory,
     StrictMonoidalCategory,
     _raise_first,
+    vertical_category,
 )
 
 
@@ -173,6 +175,65 @@ class StrictBicategory:
     def cells2_between(self, x: int, y: int) -> list[int]:
         return [p for p in range(self.n2) if self.dom1[p] == x and self.cod1[p] == y]
 
+    @cached_property
+    def endo_cells(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per 0-cell ``a``: the endo 1-cells at ``a`` and the 2-cells
+        between them, both ascending.  These are the objects and morphisms
+        of End_B(a)."""
+        cells1: list[list[int]] = [[] for _ in range(self.n0)]
+        cells2: list[list[int]] = [[] for _ in range(self.n0)]
+        for x in range(self.n1):
+            if self.is_endo_1cell(x):
+                cells1[self.dom0[x]].append(x)
+        for p in range(self.n2):
+            if self.is_endo_1cell(self.dom1[p]):
+                cells2[self.dom0[self.dom1[p]]].append(p)
+        return tuple((tuple(c1), tuple(c2)) for c1, c2 in zip(cells1, cells2))
+
+    def identity_maps(self, cells0) -> tuple[tuple[dict[int, int], ...], tuple[dict[int, int], ...]]:
+        """For each 0-cell of the sequence ``cells0``, the identity map on its
+        endo 1-cells and the one on their 2-cells, gathered in two tuples."""
+        return (tuple({x: x for x in self.endo_cells[a][0]} for a in cells0),
+                tuple({p: p for p in self.endo_cells[a][1]} for a in cells0))
+
+
+def check_monoidal_map(b: StrictBicategory, a: int, c: int, m1: Mapping[int, int],
+                       m2: Mapping[int, int], law: str, where: str,
+                       domain: tuple[str, str]) -> None:
+    """Raise unless ``m1`` (on 1-cells) and ``m2`` (on 2-cells) form a strict
+    monoidal functor End_B(a) -> End_B(c).
+
+    The end categories are read off the cells of ``b``, which has passed its
+    own laws, so only the map is checked.  Law names are ``law`` plus a
+    suffix and details start with ``where``; keys or values outside the end
+    categories raise ``domain[0]`` with detail "1-cell " or "2-cell "
+    followed by ``domain[1]``.
+    """
+    (src1, src2), (tgt1, tgt2) = b.endo_cells[a], b.endo_cells[c]
+    if m1.keys() != set(src1) or not set(m1.values()) <= set(tgt1):
+        raise StructureError(domain[0], f"1-cell {domain[1]}")
+    if m2.keys() != set(src2) or not set(m2.values()) <= set(tgt2):
+        raise StructureError(domain[0], f"2-cell {domain[1]}")
+    for p in src2:
+        if b.dom1[m2[p]] != m1[b.dom1[p]] or b.cod1[m2[p]] != m1[b.cod1[p]]:
+            raise StructureError(f"{law}-boundary", f"{where}, 2-cell {p}")
+    for x in src1:
+        if m2[b.id2[x]] != b.id2[m1[x]]:
+            raise StructureError(f"{law}-identity", f"{where}, 1-cell {x}")
+    for (q, p), r in b.vcomp.items():
+        if q in m2 and p in m2 and m2[r] != b.vcomp[(m2[q], m2[p])]:
+            raise StructureError(f"{law}-composition", f"{where}, ({q}, {p})")
+    if m1[b.id1[a]] != b.id1[c]:
+        raise StructureError(f"{law}-monoidal-unit", where)
+    for x in src1:
+        for y in src1:
+            if m1[b.hcomp1[(x, y)]] != b.hcomp1[(m1[x], m1[y])]:
+                raise StructureError(f"{law}-monoidal", f"{where}, 1-cells ({x}, {y})")
+    for p in src2:
+        for q in src2:
+            if m2[b.hcomp2[(p, q)]] != b.hcomp2[(m2[p], m2[q])]:
+                raise StructureError(f"{law}-monoidal", f"{where}, 2-cells ({p}, {q})")
+
 
 def suspend(d: StrictMonoidalCategory) -> StrictBicategory:
     """The one-object bicategory whose endomorphism category is ``d``."""
@@ -219,21 +280,11 @@ class CellSplit:
     rest_morphisms: tuple[int, ...]
 
 
-def _part_category(b: StrictBicategory, cells1: list[int]) -> tuple[FiniteCategory, tuple[int, ...], tuple[int, ...]]:
-    pos1 = {x: i for i, x in enumerate(cells1)}
-    cells2 = [p for p in range(b.n2) if b.dom1[p] in pos1]
-    pos2 = {p: i for i, p in enumerate(cells2)}
-    dom = tuple(pos1[b.dom1[p]] for p in cells2)
-    cod = tuple(pos1[b.cod1[p]] for p in cells2)
-    identity = tuple(pos2[b.id2[x]] for x in cells1)
-    comp = {(pos2[q], pos2[p]): pos2[r] for (q, p), r in b.vcomp.items() if q in pos2 and p in pos2}
-    cat = FiniteCategory(len(cells1), dom, cod, identity, comp)
-    return cat, tuple(cells1), tuple(cells2)
-
-
 def split_cells(b: StrictBicategory) -> CellSplit:
-    endo = [x for x in range(b.n1) if b.is_endo_1cell(x)]
-    rest = [x for x in range(b.n1) if not b.is_endo_1cell(x)]
-    endo_cat, endo_obj, endo_mor = _part_category(b, endo)
-    rest_cat, rest_obj, rest_mor = _part_category(b, rest)
+    def part(endo: bool):
+        cells1 = tuple(x for x in range(b.n1) if b.is_endo_1cell(x) == endo)
+        cells2 = tuple(p for p in range(b.n2) if b.is_endo_1cell(b.dom1[p]) == endo)
+        return vertical_category(b, cells1, cells2), cells1, cells2
+
+    (endo_cat, endo_obj, endo_mor), (rest_cat, rest_obj, rest_mor) = part(True), part(False)
     return CellSplit(endo_cat, rest_cat, endo_obj, endo_mor, rest_obj, rest_mor)

@@ -191,3 +191,18 @@ def test_vertical_chain_rejects_a_shrinking_level():
 
     with pytest.raises(StructureError, match="chain-monotonicity"):
         VerticalChain((), ((0, 1), (0,)), 2)
+
+
+def test_non_integer_search_limit_is_a_named_error(monkeypatch):
+    z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
+    ld = _lift(z3, z2, MonoidAction.inversion(z3))
+    monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "abc")
+    with pytest.raises(StructureError, match="search-limit"):
+        find_folding(ld)
+
+
+def test_validate_folding_rejects_a_family_of_the_wrong_length():
+    z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
+    ld = _lift(z3, z2, MonoidAction.trivial(z2, z3))
+    with pytest.raises(StructureError, match="folding-shape"):
+        validate_folding(ld, Folding(((0, 1, 2),)))

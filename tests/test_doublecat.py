@@ -196,3 +196,15 @@ def test_wiring_errors_are_named_without_asserts():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split("\n") == ["wiring False", "wiring False", ""]
+
+
+def test_double_functor_check_names_miswired_categories():
+    from doublelift.fincat import FunctorData
+
+    dc = _semidirect_dc()
+    other = trivial_double_category(delooping(Monoid.cyclic(2)))
+    ident = DoubleFunctor.identity(dc)
+    with pytest.raises(StructureError, match="wiring"):
+        ident.check(dc, other)
+    with pytest.raises(StructureError, match="wiring"):
+        DoubleFunctor(ident.f0, FunctorData.identity(other.c1)).check(dc, dc)

@@ -167,3 +167,8 @@ def test_fixture_by_name_round_trips():
         fixture_by_name("nonsense")
     with pytest.raises(StructureError, match="unknown-fixture"):
         fixture_by_name("semidirect:z3:z3:inv")
+
+
+def test_matmul_names_mismatched_shapes():
+    with pytest.raises(StructureError, match="matrix-shape"):
+        matmul(matrix([[1, 2]]), identity_matrix(3))

@@ -189,3 +189,29 @@ def test_cli_wrong_kind_is_reported(tmp_path, capsys):
     assert run(["analyze", path]) == 1
     captured = capsys.readouterr()
     assert "input-kinds" in captured.err
+
+
+@pytest.mark.parametrize("value", ["count", -1])
+def test_cli_check_reports_an_out_of_range_pasting(tmp_path, capsys, value):
+    dc = build_semidirect_fixture(
+        Monoid.cyclic(3), Monoid.cyclic(2), MonoidAction.inversion(Monoid.cyclic(3))).dc
+    obj = json.loads(dumps(dc))
+    obj["hcomp"][-1][3] = dc.c1.n_morphisms if value == "count" else value
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  load: hcomp-boundary" in captured.out
+    assert "first failing law: load" in captured.err
+
+
+def test_cli_adjunction_rejects_a_precosheaf_over_other_monoids(tmp_path, capsys):
+    z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
+    dec = decorate(delooping(z2), suspend(monoidal_delooping(z3)))
+    g_path = _write(tmp_path, "g.json", z2)
+    a_path = _write(tmp_path, "a.json", Monoid.cyclic(4))
+    phi_path = _write(tmp_path, "phi.json", precosheaf_from_action(dec, MonoidAction.inversion(z3)))
+    assert run(["adjunction", g_path, a_path, phi_path]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  input-kinds" in captured.out
+    assert "first failing law: input-kinds" in captured.err
