@@ -161,17 +161,18 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
         raise StructureError("not-a-group", "decorating monoid must be a group")
     dec = decorate(delooping(g), suspend(monoidal_delooping(a)))
     entries: list[tuple[str, bool, str]] = []
-    lifts: list[tuple[MonoidAction, LiftData]] = []
+    # each lift with its comparison functor, built once and reused below
+    lifts: list[tuple[LiftData, DoubleFunctor]] = []
     for i, action in enumerate(actions):
         phi = precosheaf_from_action(dec, action)
         ld = lift_data(dec, phi)
-        lifts.append((action, ld))
 
         recovered = extract_phi(ld.dc)
         ok = recovered == phi
         entries.append((f"round-trip[{i}]", ok, "extract_phi(lift) == phi"))
 
         pi = pi_functor(ld.dc)
+        lifts.append((ld, pi))
         ident1 = tuple(range(ld.dc.c1.n_morphisms))
         ok = pi.f1.morphism_map == ident1 and pi.f1.object_map == (0,)
         entries.append((f"pi-identity[{i}]", ok, "pi on a lift is the identity"))
@@ -182,12 +183,10 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
         entries.append((f"phi-of-pi-identity[{i}]", ok, "extracted map of pi is the identity"))
 
     # naturality of the comparison: every map of pre-cosheaves commutes with pi
-    for i, (_, ld1) in enumerate(lifts):
-        for j, (_, ld2) in enumerate(lifts):
+    for i, (ld1, pi1) in enumerate(lifts):
+        for j, (ld2, pi2) in enumerate(lifts):
             for k, eta in enumerate(enumerate_precosheaf_maps(ld1.phi, ld2.phi)):
                 f = lift_functor(eta)
-                pi1 = pi_functor(ld1.dc)
-                pi2 = pi_functor(ld2.dc)
                 lhs = f.compose(pi1)
                 back = phi_of_double_functor(f, ld1.dc, ld2.dc)
                 rhs = pi2.compose(lift_functor(back))

@@ -1,13 +1,15 @@
 """Structural analysis of double categories: the globularily generated part,
 the vertical length chain, membership of squares in the first chain level,
-and the folding / cofolding search for single-object lifts.
+and the folding search for single-object lifts, which also decides
+cofoldings: over the commutative globular monoids accepted here the two
+laws coincide.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .doublecat import DoubleCategory, HKey, globular_squares
 from .errors import StructureError
@@ -230,34 +232,38 @@ def single_object_monoids(dec: DecoratedBicategory) -> tuple[Monoid, Monoid]:
     return m, a
 
 
-def _folding_search(ld: LiftData, mirrored: bool):
+def _vertical_failure(m: Monoid, a: Monoid, phi: Precosheaf, lams, pairs):
+    """The first (m2, m1, y2, y1) over the given pairs of vertical morphisms
+    at which the vertical law
+    ``lams[m2 m1][y2 * phi(m2)(y1)] == lams[m2][y2] * lams[m1][y1]`` fails,
+    or None.  A cofolding swaps the two images on the right, which over a
+    commutative globular monoid is the same law."""
+    for m2, m1 in pairs:
+        lamc, lam2, lam1, act = lams[m.mul(m2, m1)], lams[m2], lams[m1], phi.on_cells2[m2]
+        for y2 in range(a.size):
+            for y1 in range(a.size):
+                if lamc[a.mul(y2, act[y1])] != a.mul(lam2[y2], lam1[y1]):
+                    return (m2, m1, y2, y1)
+    return None
+
+
+def _folding_search(ld: LiftData):
     m, a = single_object_monoids(ld.dec)
-    phi = ld.phi
     autos = monoid_automorphisms(a)
-    ident = tuple(range(a.size))
     # the identity vertical morphism is pinned to the identity bijection
     order = [x for x in range(m.size) if x != m.unit]
-    assignment: dict[int, tuple[int, ...]] = {m.unit: ident}
+    assignment: dict[int, tuple[int, ...]] = {m.unit: tuple(range(a.size))}
+    # the pairs whose vertical law can first be checked once order[k] is
+    # assigned: all three of m2, m1, m2 m1 assigned, order[k] among them;
+    # the others were checked one level up, and (unit, unit) holds because
+    # the unit of a pre-cosheaf acts as the identity
+    new_pairs = []
+    for k, x in enumerate(order):
+        done = {m.unit, *order[:k + 1]}
+        new_pairs.append([(m2, m1) for m2 in done for m1 in done
+                          if m.mul(m2, m1) in done and x in (m2, m1, m.mul(m2, m1))])
     limit = _search_limit()
     nodes = 0
-
-    def consistent() -> bool:
-        for m2, lam2 in assignment.items():
-            for m1, lam1 in assignment.items():
-                mc = m.mul(m2, m1)
-                if mc not in assignment:
-                    continue
-                lamc = assignment[mc]
-                for y2 in range(a.size):
-                    for y1 in range(a.size):
-                        payload = a.mul(y2, phi.on_cells2[m2][y1])
-                        if mirrored:
-                            rhs = a.mul(lam1[y1], lam2[y2])
-                        else:
-                            rhs = a.mul(lam2[y2], lam1[y1])
-                        if lamc[payload] != rhs:
-                            return False
-        return True
 
     def extend(k: int):
         nonlocal nodes
@@ -268,7 +274,7 @@ def _folding_search(ld: LiftData, mirrored: bool):
             if nodes > limit:
                 raise _Budget()
             assignment[order[k]] = lam
-            if consistent():
+            if _vertical_failure(m, a, ld.phi, assignment, new_pairs[k]) is None:
                 found = extend(k + 1)
                 if found is not None:
                     return found
@@ -284,13 +290,14 @@ def _folding_search(ld: LiftData, mirrored: bool):
         return SearchCertificate(False, nodes, limit)
     if found is None:
         return SearchCertificate(True, nodes, limit)
-    return Folding(tuple(found[x] for x in range(m.size)), cofolding=mirrored)
+    return Folding(tuple(found[x] for x in range(m.size)))
 
 
 def validate_folding(ld: LiftData, fold: Folding) -> None:
-    """Re-check the folding laws by exhaustive enumeration."""
+    """Re-check the folding laws by exhaustive enumeration.  A cofolding is
+    checked against the same laws, since the two coincide over the
+    commutative globular monoids accepted here."""
     m, a = single_object_monoids(ld.dec)
-    phi = ld.phi
     lams = fold.payload_maps
     if len(lams) != m.size:
         raise StructureError("folding-shape", f"{len(lams)} bijections for {m.size} vertical morphisms")
@@ -305,57 +312,38 @@ def validate_folding(ld: LiftData, fold: Folding) -> None:
             for y2 in range(a.size):
                 if lams[x][a.mul(y1, y2)] != a.mul(lams[x][y1], lams[x][y2]):
                     raise StructureError("folding-horizontal", f"({x}, {y1}, {y2})")
-    for m2 in range(m.size):
-        for m1 in range(m.size):
-            for y2 in range(a.size):
-                for y1 in range(a.size):
-                    payload = a.mul(y2, phi.on_cells2[m2][y1])
-                    if fold.cofolding:
-                        rhs = a.mul(lams[m1][y1], lams[m2][y2])
-                    else:
-                        rhs = a.mul(lams[m2][y2], lams[m1][y1])
-                    if lams[m.mul(m2, m1)][payload] != rhs:
-                        raise StructureError("folding-vertical", f"({m2}, {m1}, {y2}, {y1})")
+    failure = _vertical_failure(m, a, ld.phi, lams,
+                                [(m2, m1) for m2 in range(m.size) for m1 in range(m.size)])
+    if failure is not None:
+        raise StructureError("folding-vertical", "({}, {}, {}, {})".format(*failure))
 
 
 def find_folding(ld: LiftData):
     """Backtracking search for a folding.  Candidates for each bijection are
     the automorphisms of the globular monoid (horizontal compatibility
     forces a monoid endomorphism, bijectivity an automorphism)."""
-    result = _folding_search(ld, mirrored=False)
+    result = _folding_search(ld)
     if isinstance(result, Folding):
         validate_folding(ld, result)
     return result
 
 
 def find_cofolding(ld: LiftData):
-    """Mirror of find_folding with the two images swapped in the vertical
-    compatibility law.  Over a commutative globular monoid the two systems
-    coincide, which is the only shape exercised here."""
-    result = _folding_search(ld, mirrored=True)
-    if isinstance(result, Folding):
-        validate_folding(ld, result)
-    return result
+    """A cofolding swaps the two images in the vertical law.  Over the
+    commutative globular monoids accepted here that is the folding law, so
+    this is find_folding's result, marked as a cofolding when found."""
+    result = find_folding(ld)
+    return replace(result, cofolding=True) if isinstance(result, Folding) else result
 
 
 def framed_flag(ld: LiftData) -> Optional[bool]:
-    """True when both a folding and a cofolding exist, False when at least
-    one is proven absent, None when a search was inconclusive."""
-    fold = find_folding(ld)
-    cofold = find_cofolding(ld)
-    outcomes = []
-    for r in (fold, cofold):
-        if isinstance(r, Folding):
-            outcomes.append(True)
-        elif r.exhausted:
-            outcomes.append(False)
-        else:
-            outcomes.append(None)
-    if False in outcomes:
-        return False
-    if None in outcomes:
-        return None
-    return True
+    """True when both a folding and a cofolding exist, False when they are
+    proven absent, None when the search was inconclusive.  One search
+    decides both, since a cofolding is a folding here."""
+    result = find_folding(ld)
+    if isinstance(result, Folding):
+        return True
+    return False if result.exhausted else None
 
 
 def reconstruct_single_object_lift(c: DoubleCategory) -> LiftData:

@@ -13,9 +13,7 @@ from . import serialize
 from .adjoint import check_triangle_identities
 from .analysis import (
     Folding,
-    find_cofolding,
     find_folding,
-    framed_flag,
     gamma_data,
     reconstruct_single_object_lift,
 )
@@ -126,16 +124,18 @@ def cmd_folding(args, report: Report) -> None:
     if not isinstance(dc, DoubleCategory):
         report.add("input-kinds", False, "expected a double-category file")
         return
-    ld = reconstruct_single_object_lift(dc)
-    for tag, result in (("folding", find_folding(ld)), ("cofolding", find_cofolding(ld))):
+    # a cofolding is a folding over the commutative globular monoids
+    # accepted here, so one search answers all three lines
+    result = find_folding(reconstruct_single_object_lift(dc))
+    for tag in ("folding", "cofolding"):
         if isinstance(result, Folding):
             report.info(tag, "found: " + repr(result.payload_maps))
         elif result.exhausted:
             report.info(tag, f"absent (search exhausted after {result.nodes} nodes)")
         else:
             report.add(tag, False, f"inconclusive (budget {result.limit} exceeded)")
-    flag = framed_flag(ld)
-    report.info("framed", "unknown" if flag is None else str(flag).lower())
+    framed = "true" if isinstance(result, Folding) else "false" if result.exhausted else "unknown"
+    report.info("framed", framed)
 
 
 def cmd_adjunction(args, report: Report) -> None:

@@ -133,7 +133,10 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
                 composable = c.right0(x) == c.left0(y)
                 if defined != composable:
                     return (x, y, "defined" if defined else "missing")
-        return None
+        # a key outside the cells, or of a kind other than "ob" and "sq"
+        cells = range(c1.n_objects)
+        return first(key + ("defined",) for key in c.hcomp if key[0] != "sq"
+                     and not (key[0] == "ob" and key[1] in cells and key[2] in cells))
 
     record("hcomp-totality-1cells", ob_witness())
 
@@ -144,7 +147,9 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
                 composable = c.tgt.morphism_map[p] == c.src.morphism_map[q]
                 if defined != composable:
                     return (p, q, "defined" if defined else "missing")
-        return None
+        cells = range(c1.n_morphisms)
+        return first(key + ("defined",) for key in c.hcomp
+                     if key[0] == "sq" and not (key[1] in cells and key[2] in cells))
 
     record("hcomp-totality-squares", sq_witness())
     if any(not ok for _, ok, _ in report):

@@ -1,0 +1,188 @@
+"""Differential test of the folding search against the previous one.
+
+The oracle below is the search as it was written before the cofolding
+search was folded into the folding search: it re-checks the vertical law
+over every assigned pair at each node, and keeps a mirrored variant that
+swaps the two images on the right of that law.  The current search checks
+only the pairs that involve the morphism just assigned, and answers the
+cofolding and framed questions from the one folding search.  Both must
+visit the same nodes and find the same first folding, for every action of
+Z2, Z3 and the flag monoid on every commutative target of size at most 5,
+under several search budgets.
+"""
+
+import pytest
+
+from doublelift.analysis import (
+    Folding,
+    SearchCertificate,
+    _search_limit,
+    find_cofolding,
+    find_folding,
+    framed_flag,
+    single_object_monoids,
+    validate_folding,
+)
+from doublelift.errors import StructureError
+from doublelift.fincat import Monoid, delooping, enumerate_actions, monoid_automorphisms, monoidal_delooping
+from doublelift.grothendieck import precosheaf_from_action
+from doublelift.lift import lift_data
+from doublelift.twocat import decorate, suspend
+
+
+def oracle_folding_search(ld, mirrored):
+    m, a = single_object_monoids(ld.dec)
+    phi = ld.phi
+    autos = monoid_automorphisms(a)
+    ident = tuple(range(a.size))
+    order = [x for x in range(m.size) if x != m.unit]
+    assignment = {m.unit: ident}
+    limit = _search_limit()
+    nodes = 0
+
+    def consistent():
+        for m2, lam2 in assignment.items():
+            for m1, lam1 in assignment.items():
+                mc = m.mul(m2, m1)
+                if mc not in assignment:
+                    continue
+                lamc = assignment[mc]
+                for y2 in range(a.size):
+                    for y1 in range(a.size):
+                        payload = a.mul(y2, phi.on_cells2[m2][y1])
+                        if mirrored:
+                            rhs = a.mul(lam1[y1], lam2[y2])
+                        else:
+                            rhs = a.mul(lam2[y2], lam1[y1])
+                        if lamc[payload] != rhs:
+                            return False
+        return True
+
+    class Budget(Exception):
+        pass
+
+    def extend(k):
+        nonlocal nodes
+        if k == len(order):
+            return dict(assignment)
+        for lam in autos:
+            nodes += 1
+            if nodes > limit:
+                raise Budget()
+            assignment[order[k]] = lam
+            if consistent():
+                found = extend(k + 1)
+                if found is not None:
+                    return found
+            del assignment[order[k]]
+        return None
+
+    try:
+        found = extend(0)
+    except Budget:
+        return SearchCertificate(False, nodes, limit)
+    if found is None:
+        return SearchCertificate(True, nodes, limit)
+    return Folding(tuple(found[x] for x in range(m.size)), cofolding=mirrored)
+
+
+def oracle_framed_flag(ld):
+    outcomes = []
+    for r in (oracle_folding_search(ld, False), oracle_folding_search(ld, True)):
+        if isinstance(r, Folding):
+            outcomes.append(True)
+        elif r.exhausted:
+            outcomes.append(False)
+        else:
+            outcomes.append(None)
+    if False in outcomes:
+        return False
+    if None in outcomes:
+        return None
+    return True
+
+
+def oracle_vertical_failure(ld, fold):
+    """The previous validate_folding's vertical loop, with its mirror."""
+    m, a = single_object_monoids(ld.dec)
+    lams = fold.payload_maps
+    for m2 in range(m.size):
+        for m1 in range(m.size):
+            for y2 in range(a.size):
+                for y1 in range(a.size):
+                    payload = a.mul(y2, ld.phi.on_cells2[m2][y1])
+                    if fold.cofolding:
+                        rhs = a.mul(lams[m1][y1], lams[m2][y2])
+                    else:
+                        rhs = a.mul(lams[m2][y2], lams[m1][y1])
+                    if lams[m.mul(m2, m1)][payload] != rhs:
+                        return f"folding-vertical: ({m2}, {m1}, {y2}, {y1})"
+    return None
+
+
+def _klein_four():
+    return Monoid(tuple(tuple(x ^ y for y in range(4)) for x in range(4)), 0)
+
+
+ACTING = {"z2": Monoid.cyclic(2), "z3": Monoid.cyclic(3), "flag": Monoid.flag()}
+TARGETS = {**{f"z{n}": Monoid.cyclic(n) for n in range(1, 6)},
+           "v4": _klein_four(), "flag": Monoid.flag()}
+
+
+@pytest.fixture(scope="module")
+def search_lifts():
+    out = []
+    for gname, g in ACTING.items():
+        for aname, a in TARGETS.items():
+            dec = decorate(delooping(g), suspend(monoidal_delooping(a)))
+            for i, action in enumerate(enumerate_actions(g, a)):
+                out.append((f"{gname}:{aname}:{i}", lift_data(dec, precosheaf_from_action(dec, action))))
+    return out
+
+
+def _outcome(result):
+    if isinstance(result, Folding):
+        return ("folding", result.payload_maps, result.cofolding)
+    return ("certificate", result.exhausted, result.nodes, result.limit)
+
+
+@pytest.mark.parametrize("limit", [None, "1", "3", "7"])
+def test_search_matches_the_oracle(search_lifts, monkeypatch, limit):
+    if limit is None:
+        monkeypatch.delenv("DOUBLELIFT_SEARCH_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", limit)
+    kinds = set()
+    for tag, ld in search_lifts:
+        fold = find_folding(ld)
+        assert _outcome(fold) == _outcome(oracle_folding_search(ld, False)), tag
+        assert _outcome(find_cofolding(ld)) == _outcome(oracle_folding_search(ld, True)), tag
+        assert framed_flag(ld) == oracle_framed_flag(ld), tag
+        kinds.add("folding" if isinstance(fold, Folding) else fold.exhausted)
+    # the inputs exercise found foldings and proven absences, and a low
+    # budget also cuts searches short
+    assert {"folding", True} <= kinds
+    assert (False in kinds) == (limit in ("1", "3"))
+
+
+def test_validate_folding_matches_the_oracle_on_perturbed_families(search_lifts):
+    checked = 0
+    for tag, ld in search_lifts:
+        fold = find_folding(ld)
+        if not isinstance(fold, Folding):
+            continue
+        _, a = single_object_monoids(ld.dec)
+        for x in range(len(fold.payload_maps)):
+            for auto in monoid_automorphisms(a):
+                maps = fold.payload_maps[:x] + (auto,) + fold.payload_maps[x + 1:]
+                for cofolding in (False, True):
+                    family = Folding(maps, cofolding)
+                    try:
+                        validate_folding(ld, family)
+                        got = None
+                    except StructureError as exc:
+                        got = str(exc)
+                    if got is None or "folding-vertical" in got:
+                        assert got == oracle_vertical_failure(ld, family), (tag, maps)
+                        checked += got is not None
+    assert checked > 0

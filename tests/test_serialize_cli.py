@@ -215,3 +215,23 @@ def test_cli_adjunction_rejects_a_precosheaf_over_other_monoids(tmp_path, capsys
     captured = capsys.readouterr()
     assert "FAIL  input-kinds" in captured.out
     assert "first failing law: input-kinds" in captured.err
+
+
+@pytest.mark.parametrize("entry, law", [
+    (["sq", 99, 0, 0], "hcomp-totality-squares"),
+    (["sq", -1, 0, 0], "hcomp-totality-squares"),
+    (["ob", 0, 5, 0], "hcomp-totality-1cells"),
+    (["zz", 0, 0, 0], "hcomp-totality-1cells"),
+])
+def test_cli_check_reports_a_stray_pasting_key(tmp_path, capsys, entry, law):
+    dc = build_semidirect_fixture(
+        Monoid.cyclic(3), Monoid.cyclic(2), MonoidAction.inversion(Monoid.cyclic(3))).dc
+    obj = json.loads(dumps(dc))
+    obj["hcomp"].append(entry)
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL  load: {law}" in captured.out
+    with pytest.raises(StructureError, match=law):
+        loads(json.dumps(obj))
