@@ -6,16 +6,15 @@ identities making the two constructions adjoint.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
 
-from .analysis import gamma_data, single_object_monoids
-from .doublecat import DoubleCategory, DoubleFunctor, decorated_horizontalization, globular_squares
+from .analysis import gamma_data, single_object_monoids, single_object_precosheaf
+from .doublecat import DoubleCategory, DoubleFunctor, globular_squares
 from .errors import StructureError
-from .fincat import FunctorData, Monoid, MonoidAction
+from .fincat import FunctorData, Monoid, MonoidAction, monoid_endomorphisms
 from .grothendieck import Precosheaf
 from .lift import LiftData, PrecosheafMap, lift_data, lift_functor
+from .twocat import DecoratedBicategory
 
 
 def _check_shape(c: DoubleCategory) -> None:
@@ -24,7 +23,9 @@ def _check_shape(c: DoubleCategory) -> None:
     if c.c1.n_objects != 1:
         raise StructureError("shape-mismatch", "expected a single horizontal 1-cell")
     for g in range(c.c0.n_morphisms):
-        _c0_inverse(c, g)
+        if not any(c.c0.compose(h, g) == c.c0.identity[0] == c.c0.compose(g, h)
+                   for h in range(c.c0.n_morphisms)):
+            raise StructureError("not-a-group", f"vertical morphism {g} has no inverse")
     gd = gamma_data(c)
     if gd.dc != c:
         raise StructureError("not-gg", "double category is not globularily generated")
@@ -32,38 +33,16 @@ def _check_shape(c: DoubleCategory) -> None:
         raise StructureError("vertical-length", "vertical length must be 1")
 
 
-def _c0_inverse(c: DoubleCategory, g: int) -> int:
-    for h in range(c.c0.n_morphisms):
-        if c.c0.compose(h, g) == c.c0.identity[0] == c.c0.compose(g, h):
-            return h
-    raise StructureError("not-a-group", f"vertical morphism {g} has no inverse")
-
-
 def extract_phi(c: DoubleCategory) -> Precosheaf:
     """Read off the pre-cosheaf of a length-one GG double category over a
     one-object group decoration.
 
     The action of a vertical morphism g on a globular square a is the
-    vertical composite of i_{g^{-1}}, then a, then i_g, which is globular
-    again because the sides cancel.
+    vertical composite of i_{g^{-1}}, then a, then i_g: the unique globular
+    square q with q . i_g == i_g . a, which single_object_precosheaf reads.
     """
     _check_shape(c)
-    dec = decorated_horizontalization(c)
-    glob = sorted(globular_squares(c))
-    pos = {p: i for i, p in enumerate(glob)}
-    on1, on2 = [], []
-    for g in range(c.c0.n_morphisms):
-        ig = c.hid.morphism_map[g]
-        iginv = c.hid.morphism_map[_c0_inverse(c, g)]
-        mapping = {}
-        for p in glob:
-            image = c.c1.compose(ig, c.c1.compose(p, iginv))
-            if image not in pos:
-                raise StructureError("conjugation-not-globular", f"({g}, {p})")
-            mapping[pos[p]] = pos[image]
-        on1.append({0: 0})
-        on2.append(mapping)
-    return Precosheaf(dec, tuple(on1), tuple(on2))
+    return single_object_precosheaf(c)
 
 
 def extracted_action(c: DoubleCategory) -> MonoidAction:
@@ -124,16 +103,19 @@ def phi_of_double_functor(f: DoubleFunctor, c: DoubleCategory, d: DoubleCategory
 
 
 def enumerate_precosheaf_maps(phi: Precosheaf, psi: Precosheaf) -> list[PrecosheafMap]:
-    """All natural transformations between single-object pre-cosheaves, by
-    brute force over monoid-endomorphism-shaped components."""
-    b = phi.dec.bicat
-    if phi.dec.decoration.n_objects != 1 or b.n1 != 1:
+    """All natural transformations between single-object pre-cosheaves.
+
+    Over one 0-cell and one 1-cell the horizontal composite of 2-cells is
+    the vertical one (Eckmann-Hilton), so a strict monoidal component is a
+    monoid endomorphism of the globular monoid; each candidate is then
+    checked for naturality by the PrecosheafMap constructor."""
+    if phi.dec.decoration.n_objects != 1 or phi.dec.bicat.n1 != 1:
         raise StructureError("shape-mismatch", "enumeration needs the one-object shape")
-    n2 = b.n2
+    _, a = single_object_monoids(phi.dec)
     out = []
-    for candidate in itertools.product(range(n2), repeat=n2):
+    for candidate in monoid_endomorphisms(a):
         try:
-            eta = PrecosheafMap(phi, psi, ({0: 0},), ({x: candidate[x] for x in range(n2)},))
+            eta = PrecosheafMap(phi, psi, ({0: 0},), (dict(enumerate(candidate)),))
         except StructureError:
             continue
         out.append(eta)
@@ -142,6 +124,7 @@ def enumerate_precosheaf_maps(phi: Precosheaf, psi: Precosheaf) -> list[Precoshe
 
 @dataclass(frozen=True)
 class TriangleReport:
+    dec: DecoratedBicategory  # the decorated bicategory that the actions act over
     entries: tuple[tuple[str, bool, str], ...]
 
     @property
@@ -186,11 +169,11 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
     for i, (ld1, pi1) in enumerate(lifts):
         for j, (ld2, pi2) in enumerate(lifts):
             for k, eta in enumerate(enumerate_precosheaf_maps(ld1.phi, ld2.phi)):
-                f = lift_functor(eta)
+                f = lift_functor(eta, ld1, ld2)
                 lhs = f.compose(pi1)
                 back = phi_of_double_functor(f, ld1.dc, ld2.dc)
-                rhs = pi2.compose(lift_functor(back))
+                rhs = pi2.compose(lift_functor(back, ld1, ld2))
                 ok = lhs.f1.morphism_map == rhs.f1.morphism_map
                 entries.append((f"naturality[{i},{j},{k}]", ok,
                                 "comparison commutes with lifted maps"))
-    return TriangleReport(tuple(entries))
+    return TriangleReport(dec, tuple(entries))

@@ -11,11 +11,11 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .doublecat import DoubleCategory, HKey, globular_squares
+from .doublecat import DoubleCategory, HKey, decorated_horizontalization, globular_squares
 from .errors import StructureError
 from .fincat import FiniteCategory, FunctorData, Monoid, monoid_automorphisms
 from .grothendieck import Precosheaf
-from .lift import LiftData
+from .lift import LiftData, lift_data
 from .twocat import DecoratedBicategory
 
 DEFAULT_SEARCH_LIMIT = 10 ** 7
@@ -346,28 +346,20 @@ def framed_flag(ld: LiftData) -> Optional[bool]:
     return False if result.exhausted else None
 
 
-def reconstruct_single_object_lift(c: DoubleCategory) -> LiftData:
-    """Recover the (dec, phi) presentation of a one-object, one-1-cell lift
-    from its tables.
+def single_object_precosheaf(c: DoubleCategory) -> Precosheaf:
+    """Read the pre-cosheaf off a one-object, one-1-cell double category.
 
-    The action of a vertical morphism m on a globular payload a is read off
-    from the composite of the globular square with i_m on either side,
-    which needs no inverses and so works for monoid decorations."""
-    from .doublecat import decorated_horizontalization, globular_squares
-    from .lift import lift_data
-
-    if c.c0.n_objects != 1 or c.c1.n_objects != 1:
-        raise StructureError("shape-mismatch", "expected one object and one horizontal 1-cell")
+    The action of a vertical morphism m on a globular payload p is the
+    unique globular q with q . i_m == i_m . p: both composites are the
+    square (m, action(p)), and matching needs no inverses, so this works
+    for monoid decorations."""
     dec = decorated_horizontalization(c)
     glob = sorted(globular_squares(c))
-    pos = {p: i for i, p in enumerate(glob)}
     on1, on2 = [], []
     for m in range(c.c0.n_morphisms):
         im = c.hid.morphism_map[m]
         mapping = {}
         for i, p in enumerate(glob):
-            # compose(i_m, p) = (m, unit * action(a)); peel the side back off
-            # by matching against compose(globular, i_m) = (m, payload)
             lifted = c.c1.compose(im, p)
             matches = [j for j, q in enumerate(glob) if c.c1.compose(q, im) == lifted]
             if len(matches) != 1:
@@ -375,8 +367,16 @@ def reconstruct_single_object_lift(c: DoubleCategory) -> LiftData:
             mapping[i] = matches[0]
         on1.append({0: 0})
         on2.append(mapping)
-    phi = Precosheaf(dec, tuple(on1), tuple(on2))
-    ld = lift_data(dec, phi)
+    return Precosheaf(dec, tuple(on1), tuple(on2))
+
+
+def reconstruct_single_object_lift(c: DoubleCategory) -> LiftData:
+    """Recover the (dec, phi) presentation of a one-object, one-1-cell lift
+    from its tables."""
+    if c.c0.n_objects != 1 or c.c1.n_objects != 1:
+        raise StructureError("shape-mismatch", "expected one object and one horizontal 1-cell")
+    phi = single_object_precosheaf(c)
+    ld = lift_data(phi.dec, phi)
     if ld.dc.c1.n_morphisms != c.c1.n_morphisms:
         raise StructureError("not-a-lift", "square count differs from the reconstructed lift")
     return ld

@@ -144,12 +144,14 @@ def cmd_adjunction(args, report: Report) -> None:
     if not isinstance(g, Monoid) or not isinstance(a, Monoid):
         report.add("input-kinds", False, "expected two monoid files")
         return
-    actions = []
+    phis, actions = [], []
     for path in args.phis:
         phi = _load(path)
         if not isinstance(phi, Precosheaf):
             report.add("input-kinds", False, f"{path} is not a precosheaf")
             return
+        # the sizes guard the reading of the action below; the tables are
+        # compared once the triangle check has built the decorated bicategory
         bstar = phi.dec.decoration
         if bstar.n_objects != 1 or bstar.n_morphisms != g.size or phi.dec.bicat.n2 != a.size:
             report.add("input-kinds", False, f"{path} is not a one-object precosheaf with "
@@ -158,8 +160,14 @@ def cmd_adjunction(args, report: Report) -> None:
         maps = tuple(
             tuple(phi.on_cells2[m][x] for x in range(a.size)) for m in range(g.size)
         )
+        phis.append(phi)
         actions.append(MonoidAction(g, a, maps))
     triangle = check_triangle_identities(g, a, actions)
+    for path, phi in zip(args.phis, phis):
+        if phi.dec != triangle.dec:
+            report.add("input-kinds", False, f"{path} is not a precosheaf over the decorated "
+                                             "bicategory of the two monoid files")
+            return
     for name, ok, detail in triangle.entries:
         report.add(name, ok, detail)
 
@@ -242,6 +250,8 @@ def run(argv=None) -> int:
         report.add(exc.law, False, exc.detail)
     except FileNotFoundError as exc:
         report.add("file-not-found", False, str(exc))
+    except OSError as exc:
+        report.add("file-error", False, str(exc))
     print(report.render(args.json))
     if report.passed:
         return 0

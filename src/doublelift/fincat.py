@@ -553,10 +553,6 @@ def monoidal_delooping(m: Monoid) -> StrictMonoidalCategory:
     return StrictMonoidalCategory(base, 0, {(0, 0): 0}, tensor_mor)
 
 
-def trivial_monoidal() -> StrictMonoidalCategory:
-    return monoidal_delooping(Monoid.trivial())
-
-
 def semidirect_product(n: Monoid, m: Monoid, action: MonoidAction) -> Monoid:
     """N x| M with product (n', m') * (n, m) = (n' * phi_{m'}(n), m' * m).
 

@@ -155,14 +155,15 @@ class PrecosheafMap:
         return PrecosheafMap(other.phi, self.psi, comp1, comp2)
 
 
-def lift_functor(eta: PrecosheafMap) -> DoubleFunctor:
-    """The double functor between lifts induced by a pre-cosheaf map.
+def lift_functor(eta: PrecosheafMap, src_ld: LiftData, tgt_ld: LiftData) -> DoubleFunctor:
+    """The double functor between the lifts of the source and target of a
+    pre-cosheaf map, which the caller passes in.
 
     It is the identity on the decoration, on non-endo cells, and on the
     1-cell part only when the components fix all endo 1-cells.
     """
-    src_ld = lift_data(eta.phi.dec, eta.phi)
-    tgt_ld = lift_data(eta.psi.dec, eta.psi)
+    if src_ld.phi != eta.phi or tgt_ld.phi != eta.psi:
+        raise StructureError("wiring", "lifts are not those of the map's source and target")
     dec = eta.phi.dec
     b = dec.bicat
     bstar = dec.decoration

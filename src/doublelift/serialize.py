@@ -4,156 +4,142 @@ Every file is a JSON object with a top-level "kind" tag.  Composition and
 tensor tables are stored as arrays of [lhs, rhs, result] triples sorted
 lexicographically, and dumps always emits sorted keys, so the canonical
 form of a value is unique and round-trips byte for byte.
+
+``KINDS`` declares each kind's class and fields once; writing, the schema
+check and reading all follow it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any
 
-from .doublecat import DoubleCategory, HKey
+from .doublecat import DoubleCategory
 from .errors import StructureError
 from .fincat import FiniteCategory, FunctorData, Monoid, StrictMonoidalCategory
 from .grothendieck import Precosheaf
 from .twocat import DecoratedBicategory, StrictBicategory
 
+# Field shapes: int and str are leaves, [t] is a list of t, (t, u, ...) a
+# list of exactly those entries, and a kind name a nested object of that
+# kind.  The shapes below are compared by identity, since each is stored in
+# a different form: a table as sorted [lhs, rhs, result] triples, a map as
+# sorted [key, value] pairs, a functor as its object and morphism maps, and
+# the horizontal composition as sorted [kind, lhs, rhs, result] entries.
+TABLE = [(int, int, int)]
+MAPPING = [(int, int)]
+FUNCTOR = ([int], [int])
+HCOMP = [(str, int, int, int)]
+NAMES = [str]  # optional: omitted when empty
 
-def _triples(table: Mapping[tuple[int, int], int]) -> list[list[int]]:
-    return sorted([a, b, v] for (a, b), v in table.items())
+KINDS = {
+    "monoid": (Monoid, {"table": [[int]], "unit": int, "names": NAMES}),
+    "category": (FiniteCategory, {
+        "n_objects": int, "dom": [int], "cod": [int], "identity": [int], "composition": TABLE,
+        "object_names": NAMES, "morphism_names": NAMES}),
+    "monoidal-category": (StrictMonoidalCategory, {
+        "base": "category", "unit_obj": int, "tensor_obj": TABLE, "tensor_mor": TABLE}),
+    "bicategory": (StrictBicategory, {
+        "n0": int, "dom0": [int], "cod0": [int], "dom1": [int], "cod1": [int], "id1": [int],
+        "id2": [int], "vcomp": TABLE, "hcomp1": TABLE, "hcomp2": TABLE,
+        "names1": NAMES, "names2": NAMES}),
+    "decorated-bicategory": (DecoratedBicategory, {"decoration": "category", "bicat": "bicategory"}),
+    "precosheaf": (Precosheaf, {
+        "dec": "decorated-bicategory", "on_cells1": [MAPPING], "on_cells2": [MAPPING]}),
+    "double-category": (DoubleCategory, {
+        "c0": "category", "c1": "category", "src": FUNCTOR, "tgt": FUNCTOR, "hid": FUNCTOR,
+        "hcomp": HCOMP}),
+}
 
 
-def _table(triples) -> dict[tuple[int, int], int]:
-    return {(a, b): v for a, b, v in triples}
-
-
-def _pairs(mapping: Mapping[int, int]) -> list[list[int]]:
-    return sorted([k, v] for k, v in mapping.items())
-
-
-def _mapping(pairs) -> dict[int, int]:
-    return {k: v for k, v in pairs}
+def _encode(value, shape):
+    if isinstance(shape, str):
+        return to_obj(value)
+    if shape is TABLE:
+        return sorted([a, b, v] for (a, b), v in value.items())
+    if shape is MAPPING:
+        return sorted([k, v] for k, v in value.items())
+    if shape is FUNCTOR:
+        return [list(value.object_map), list(value.morphism_map)]
+    if shape is HCOMP:
+        return sorted([kind, u, v, w] for (kind, u, v), w in value.items())
+    if shape in ([int], NAMES):
+        return list(value)
+    if isinstance(shape, list):
+        return [_encode(x, shape[0]) for x in value]
+    return value
 
 
 def to_obj(value) -> dict[str, Any]:
-    if isinstance(value, Monoid):
-        out: dict[str, Any] = {
-            "kind": "monoid",
-            "table": [list(row) for row in value.table],
-            "unit": value.unit,
-        }
-        if value.names:
-            out["names"] = list(value.names)
-        return out
-    if isinstance(value, FiniteCategory):
-        out = {
-            "kind": "category",
-            "n_objects": value.n_objects,
-            "dom": list(value.dom),
-            "cod": list(value.cod),
-            "identity": list(value.identity),
-            "composition": _triples(value.composition),
-        }
-        if value.object_names:
-            out["object_names"] = list(value.object_names)
-        if value.morphism_names:
-            out["morphism_names"] = list(value.morphism_names)
-        return out
-    if isinstance(value, StrictMonoidalCategory):
-        return {
-            "kind": "monoidal-category",
-            "base": to_obj(value.base),
-            "unit_obj": value.unit_obj,
-            "tensor_obj": _triples(value.tensor_obj),
-            "tensor_mor": _triples(value.tensor_mor),
-        }
-    if isinstance(value, StrictBicategory):
-        out = {
-            "kind": "bicategory",
-            "n0": value.n0,
-            "dom0": list(value.dom0),
-            "cod0": list(value.cod0),
-            "dom1": list(value.dom1),
-            "cod1": list(value.cod1),
-            "id1": list(value.id1),
-            "id2": list(value.id2),
-            "vcomp": _triples(value.vcomp),
-            "hcomp1": _triples(value.hcomp1),
-            "hcomp2": _triples(value.hcomp2),
-        }
-        if value.names1:
-            out["names1"] = list(value.names1)
-        if value.names2:
-            out["names2"] = list(value.names2)
-        return out
-    if isinstance(value, DecoratedBicategory):
-        return {
-            "kind": "decorated-bicategory",
-            "decoration": to_obj(value.decoration),
-            "bicat": to_obj(value.bicat),
-        }
-    if isinstance(value, Precosheaf):
-        return {
-            "kind": "precosheaf",
-            "dec": to_obj(value.dec),
-            "on_cells1": [_pairs(m) for m in value.on_cells1],
-            "on_cells2": [_pairs(m) for m in value.on_cells2],
-        }
-    if isinstance(value, DoubleCategory):
-        return {
-            "kind": "double-category",
-            "c0": to_obj(value.c0),
-            "c1": to_obj(value.c1),
-            "src": [list(value.src.object_map), list(value.src.morphism_map)],
-            "tgt": [list(value.tgt.object_map), list(value.tgt.morphism_map)],
-            "hid": [list(value.hid.object_map), list(value.hid.morphism_map)],
-            "hcomp": sorted([kind, u, v, w] for (kind, u, v), w in value.hcomp.items()),
-        }
+    for kind, (cls, fields) in KINDS.items():
+        if isinstance(value, cls):
+            out: dict[str, Any] = {"kind": kind}
+            for key, shape in fields.items():
+                field = getattr(value, key)
+                if shape is not NAMES or field:
+                    out[key] = _encode(field, shape)
+            return out
     raise StructureError("unknown-kind", type(value).__name__)
+
+
+def _check_schema(value, shape, path: str) -> None:
+    """Raise StructureError("schema", <json path>) at the first missing key
+    or value of the wrong JSON type; bools are not integers."""
+    if isinstance(shape, str):
+        if not isinstance(value, dict) or value.get("kind") != shape:
+            raise StructureError("schema", f"{path}: expected a {shape} object")
+        for key, sub in KINDS[shape][1].items():
+            if key in value:
+                _check_schema(value[key], sub, f"{path}.{key}")
+            elif sub is not NAMES:
+                raise StructureError("schema", f"{path}.{key}: missing")
+    elif shape in (int, str):
+        if type(value) is not shape:
+            raise StructureError("schema", f"{path}: expected {'an integer' if shape is int else 'a string'}")
+    elif not isinstance(value, list):
+        raise StructureError("schema", f"{path}: expected a list")
+    elif isinstance(shape, tuple) and len(value) != len(shape):
+        raise StructureError("schema", f"{path}: expected {len(shape)} entries")
+    elif not (isinstance(shape, list) and isinstance(shape[0], tuple)
+              and all(type(e) is list and tuple(map(type, e)) == shape[0] for e in value)):
+        # rows of leaves, the bulk of a file, passed above without a call
+        # per row; otherwise find the first offending path
+        for i, item in enumerate(value):
+            sub = shape[i] if isinstance(shape, tuple) else shape[0]
+            if type(item) is not sub:  # a matching leaf needs no call
+                _check_schema(item, sub, f"{path}[{i}]")
+
+
+def _decode(value, shape):
+    """Read a value that has passed _check_schema."""
+    if isinstance(shape, str):
+        cls, fields = KINDS[shape]
+        args = [_decode(value[key], sub) if key in value else None for key, sub in fields.items()]
+        if cls is DoubleCategory:
+            c0, c1, src, tgt, hid, hcomp = args
+            args = [c0, c1, FunctorData(c1, c0, *src), FunctorData(c1, c0, *tgt),
+                    FunctorData(c0, c1, *hid), hcomp]
+        return cls(*args)
+    if shape is TABLE:
+        return {(a, b): v for a, b, v in value}
+    if shape is MAPPING:
+        return {k: v for k, v in value}
+    if shape is HCOMP:
+        return {(kind, u, v): w for kind, u, v, w in value}
+    if shape in ([int], NAMES):
+        return tuple(value)
+    if isinstance(shape, (list, tuple)):
+        return tuple(_decode(x, shape[0] if isinstance(shape, list) else shape[i])
+                     for i, x in enumerate(value))
+    return value
 
 
 def from_obj(obj: dict[str, Any]):
     kind = obj.get("kind")
-    if kind == "monoid":
-        names = tuple(obj["names"]) if "names" in obj else None
-        return Monoid(tuple(tuple(r) for r in obj["table"]), obj["unit"], names)
-    if kind == "category":
-        return FiniteCategory(
-            obj["n_objects"], tuple(obj["dom"]), tuple(obj["cod"]),
-            tuple(obj["identity"]), _table(obj["composition"]),
-            tuple(obj["object_names"]) if "object_names" in obj else None,
-            tuple(obj["morphism_names"]) if "morphism_names" in obj else None,
-        )
-    if kind == "monoidal-category":
-        return StrictMonoidalCategory(
-            from_obj(obj["base"]), obj["unit_obj"],
-            _table(obj["tensor_obj"]), _table(obj["tensor_mor"]),
-        )
-    if kind == "bicategory":
-        return StrictBicategory(
-            obj["n0"], tuple(obj["dom0"]), tuple(obj["cod0"]),
-            tuple(obj["dom1"]), tuple(obj["cod1"]),
-            tuple(obj["id1"]), tuple(obj["id2"]),
-            _table(obj["vcomp"]), _table(obj["hcomp1"]), _table(obj["hcomp2"]),
-            tuple(obj["names1"]) if "names1" in obj else None,
-            tuple(obj["names2"]) if "names2" in obj else None,
-        )
-    if kind == "decorated-bicategory":
-        return DecoratedBicategory(from_obj(obj["decoration"]), from_obj(obj["bicat"]))
-    if kind == "precosheaf":
-        return Precosheaf(
-            from_obj(obj["dec"]),
-            tuple(_mapping(m) for m in obj["on_cells1"]),
-            tuple(_mapping(m) for m in obj["on_cells2"]),
-        )
-    if kind == "double-category":
-        c0 = from_obj(obj["c0"])
-        c1 = from_obj(obj["c1"])
-        src = FunctorData(c1, c0, tuple(obj["src"][0]), tuple(obj["src"][1]))
-        tgt = FunctorData(c1, c0, tuple(obj["tgt"][0]), tuple(obj["tgt"][1]))
-        hid = FunctorData(c0, c1, tuple(obj["hid"][0]), tuple(obj["hid"][1]))
-        hcomp: dict[HKey, int] = {(k, u, v): w for k, u, v, w in obj["hcomp"]}
-        return DoubleCategory(c0, c1, src, tgt, hid, hcomp)
-    raise StructureError("unknown-kind", repr(kind))
+    if kind not in KINDS:
+        raise StructureError("unknown-kind", repr(kind))
+    _check_schema(obj, kind, "$")
+    return _decode(obj, kind)
 
 
 def dumps(value) -> str:
@@ -176,5 +162,9 @@ def dump(value, path: str) -> None:
 
 
 def load(path: str):
-    with open(path) as fh:
-        return loads(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StructureError("parse-error", f"not UTF-8: {exc.reason} at byte {exc.start}")
+    return loads(text)

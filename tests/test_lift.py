@@ -96,7 +96,7 @@ def test_identity_precosheaf_map_gives_the_identity_functor():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
     phi = _phi(z3, z2, MonoidAction.inversion(z3))
     eta = PrecosheafMap.identity(phi)
-    df = lift_functor(eta)
+    df = lift_functor(eta, lift_data(phi.dec, phi), lift_data(phi.dec, phi))
     dc = lift(phi.dec, phi)
     assert df.f1.morphism_map == tuple(range(dc.c1.n_morphisms))
     assert eta.compose(eta).comp2 == eta.comp2
@@ -109,7 +109,7 @@ def test_collapse_map_between_different_actions():
     collapse = PrecosheafMap(
         phi, psi, ({0: 0},), ({0: 0, 1: 0, 2: 0},),
     )
-    df = lift_functor(collapse)
+    df = lift_functor(collapse, lift_data(phi.dec, phi), lift_data(psi.dec, psi))
     src_ld = lift_data(phi.dec, phi)
     tgt_ld = lift_data(psi.dec, psi)
     df.check(src_ld.dc, tgt_ld.dc)

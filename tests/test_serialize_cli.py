@@ -235,3 +235,99 @@ def test_cli_check_reports_a_stray_pasting_key(tmp_path, capsys, entry, law):
     assert f"FAIL  load: {law}" in captured.out
     with pytest.raises(StructureError, match=law):
         loads(json.dumps(obj))
+
+
+def test_cli_adjunction_rejects_a_precosheaf_over_the_flag_monoid(tmp_path, capsys):
+    # same sizes as Z2 acting on Z3, and the trivial flag action is also a
+    # Z2 action, so only the tables of the decoration tell them apart
+    flag, z2, z3 = Monoid.flag(), Monoid.cyclic(2), Monoid.cyclic(3)
+    dec = decorate(delooping(flag), suspend(monoidal_delooping(z3)))
+    g_path = _write(tmp_path, "g.json", z2)
+    a_path = _write(tmp_path, "a.json", z3)
+    phi_path = _write(tmp_path, "phi.json", precosheaf_from_action(dec, MonoidAction.trivial(flag, z3)))
+    assert run(["adjunction", g_path, a_path, phi_path]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  input-kinds" in captured.out
+    assert "first failing law: input-kinds" in captured.err
+
+
+def _semidirect_lift_obj():
+    dc = build_semidirect_fixture(
+        Monoid.cyclic(3), Monoid.cyclic(2), MonoidAction.inversion(Monoid.cyclic(3))).dc
+    return json.loads(dumps(dc))
+
+
+def _mutated(obj, keys, value):
+    """A copy of obj with the entry at keys replaced by value, or removed
+    when value is None."""
+    obj = json.loads(json.dumps(obj))
+    *parents, last = keys
+    inner = obj
+    for key in parents:
+        inner = inner[key]
+    if value is None:
+        del inner[last]
+    else:
+        inner[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("obj, where", [
+    ({"kind": "monoid", "table": [[0, 1], [1, 0]]}, "$.unit: missing"),
+    ({"kind": "monoid", "table": [[0, 1], [1, 0]], "unit": "x"}, "$.unit: expected an integer"),
+    ({"kind": "monoid", "table": 5, "unit": 0}, "$.table: expected a list"),
+    ({"kind": "monoid", "table": [[0, True], [1, 0]], "unit": 0}, "$.table[0][1]: expected an integer"),
+    (_mutated(_semidirect_lift_obj(), ["c1"], None), "$.c1: missing"),
+])
+def test_cli_check_reports_a_schema_violation(tmp_path, capsys, obj, where):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL  load: schema: {where}" in captured.out
+    assert "first failing law: load" in captured.err
+    with pytest.raises(StructureError, match="schema") as err:
+        loads(json.dumps(obj))
+    assert err.value.detail == where
+
+
+@pytest.mark.parametrize("keys, value, where", [
+    (["hcomp", 2, 2], "q", "$.hcomp[2][2]: expected an integer"),
+    (["hcomp", 2, 0], 7, "$.hcomp[2][0]: expected a string"),
+    (["c1", "composition", 4], [1, 2], "$.c1.composition[4]: expected 3 entries"),
+    (["src"], [[0]], "$.src: expected 2 entries"),
+    (["c0"], {"kind": "monoid"}, "$.c0: expected a category object"),
+    (["c1", "n_objects"], 1.0, "$.c1.n_objects: expected an integer"),
+    (["c1", "morphism_names"], "ab", "$.c1.morphism_names: expected a list"),
+])
+def test_schema_violations_name_the_json_path(keys, value, where):
+    with pytest.raises(StructureError, match="schema") as err:
+        loads(json.dumps(_mutated(_semidirect_lift_obj(), keys, value)))
+    assert err.value.detail == where
+
+
+@pytest.mark.parametrize("keys, value, where", [
+    (["on_cells2", 1, 0], [0], "$.on_cells2[1][0]: expected 2 entries"),
+    (["dec", "bicat", "vcomp"], None, "$.dec.bicat.vcomp: missing"),
+])
+def test_precosheaf_schema_violations_name_the_json_path(keys, value, where):
+    obj = json.loads(dumps(_semidirect_parts()[1]))
+    with pytest.raises(StructureError, match="schema") as err:
+        loads(json.dumps(_mutated(obj, keys, value)))
+    assert err.value.detail == where
+
+
+def test_cli_reports_a_directory_as_a_file_error(tmp_path, capsys):
+    assert run(["check", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  file-error" in captured.out
+    assert "first failing law: file-error" in captured.err
+
+
+def test_cli_reports_a_file_that_is_not_utf8_as_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "monoid", "table": [[0]], "unit": 0, "names": ["é"]}'.encode("latin-1"))
+    assert run(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  parse-error: not UTF-8" in captured.out
+    assert "first failing law: parse-error" in captured.err
