@@ -88,8 +88,13 @@ def phi_of_double_functor(f: DoubleFunctor, c: DoubleCategory, d: DoubleCategory
     ident = tuple(range(c.c0.n_morphisms))
     if f.f0.object_map != (0,) or f.f0.morphism_map != ident:
         raise StructureError("base-not-identity", "double functor must fix the decoration")
-    phi_c = extract_phi(c)
-    phi_d = extract_phi(d)
+    return _globular_map(f, c, d, extract_phi(c), extract_phi(d))
+
+
+def _globular_map(f: DoubleFunctor, c: DoubleCategory, d: DoubleCategory,
+                  phi_c: Precosheaf, phi_d: Precosheaf) -> PrecosheafMap:
+    """phi_of_double_functor for a functor that fixes the decoration, given
+    the pre-cosheaves extracted from c and d."""
     glob_c = sorted(globular_squares(c))
     glob_d = sorted(globular_squares(d))
     pos_d = {p: i for i, p in enumerate(glob_d)}
@@ -144,8 +149,10 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
         raise StructureError("not-a-group", "decorating monoid must be a group")
     dec = decorate(delooping(g), suspend(monoidal_delooping(a)))
     entries: list[tuple[str, bool, str]] = []
-    # each lift with its comparison functor, built once and reused below
-    lifts: list[tuple[LiftData, DoubleFunctor]] = []
+    # each lift with its comparison functor and its extracted pre-cosheaf,
+    # built once and reused below; both functors passed to _globular_map
+    # are the identity on the decoration
+    lifts: list[tuple[LiftData, DoubleFunctor, Precosheaf]] = []
     for i, action in enumerate(actions):
         phi = precosheaf_from_action(dec, action)
         ld = lift_data(dec, phi)
@@ -155,23 +162,23 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
         entries.append((f"round-trip[{i}]", ok, "extract_phi(lift) == phi"))
 
         pi = pi_functor(ld.dc)
-        lifts.append((ld, pi))
+        lifts.append((ld, pi, recovered))
         ident1 = tuple(range(ld.dc.c1.n_morphisms))
         ok = pi.f1.morphism_map == ident1 and pi.f1.object_map == (0,)
         entries.append((f"pi-identity[{i}]", ok, "pi on a lift is the identity"))
 
-        eta = phi_of_double_functor(pi, ld.dc, ld.dc)
+        eta = _globular_map(pi, ld.dc, ld.dc, recovered, recovered)
         ident2 = {x: x for x in range(dec.bicat.n2)}
         ok = eta.comp2[0] == ident2
         entries.append((f"phi-of-pi-identity[{i}]", ok, "extracted map of pi is the identity"))
 
     # naturality of the comparison: every map of pre-cosheaves commutes with pi
-    for i, (ld1, pi1) in enumerate(lifts):
-        for j, (ld2, pi2) in enumerate(lifts):
+    for i, (ld1, pi1, phi1) in enumerate(lifts):
+        for j, (ld2, pi2, phi2) in enumerate(lifts):
             for k, eta in enumerate(enumerate_precosheaf_maps(ld1.phi, ld2.phi)):
                 f = lift_functor(eta, ld1, ld2)
                 lhs = f.compose(pi1)
-                back = phi_of_double_functor(f, ld1.dc, ld2.dc)
+                back = _globular_map(f, ld1.dc, ld2.dc, phi1, phi2)
                 rhs = pi2.compose(lift_functor(back, ld1, ld2))
                 ok = lhs.f1.morphism_map == rhs.f1.morphism_map
                 entries.append((f"naturality[{i},{j},{k}]", ok,

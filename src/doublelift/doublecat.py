@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Optional
 
 from .errors import StructureError
-from .fincat import FiniteCategory, FunctorData
+from .fincat import FiniteCategory, FunctorData, associativity_failure, interchange_failure, op_rows
 from .twocat import DecoratedBicategory, StrictBicategory
 
 HKey = tuple[str, int, int]
@@ -177,27 +177,17 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
         and c.hsq(c1.identity[x], c1.identity[y]) != c1.identity[c.hob(x, y)]
     ))
 
-    def interchange_witness():
-        # Square-indexed row tables: vrow[q][p] is q after p, hrow[p][q]
-        # pastes p left of q.  Totality and boundary hold here, so every
-        # entry read below is filled.
-        n, m, tgtm = c1.n_morphisms, c0.n_morphisms, c.tgt.morphism_map
-        vrow: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        for (q, p), r in c1.composition.items():
-            vrow[q][p] = r
-        hrow: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        for (kind, p, q), w in c.hcomp.items():
-            if kind == "sq":
-                hrow[p][q] = w
-        groups = composable_pair_groups(c)
-        for (q, p), qp in c1.composition.items():
-            hq, hp, hqp = hrow[q], hrow[p], hrow[qp]
-            for q2, p2 in groups[tgtm[p] * m + tgtm[q]]:
-                if vrow[hq[q2]][hp[p2]] != hqp[vrow[q2][p2]]:
-                    return (q, p, q2, p2)
-        return None
+    # Row tables: vrows[q][p] is the square q after p, and the horizontal
+    # rows of a kind paste x left of y.  Totality and boundary hold here, so
+    # every key and value is a cell.
+    def hrows_of(kind: str, n: int):
+        return op_rows(n, ((key[1:], w) for key, w in c.hcomp.items() if key[0] == kind))
 
-    record("interchange", interchange_witness())
+    m, tgtm = c0.n_morphisms, c.tgt.morphism_map
+    vrows, hrows = op_rows(c1.n_morphisms, c1.composition.items()), hrows_of("sq", c1.n_morphisms)
+    fail = interchange_failure(vrows, hrows, [(q, p, tgtm[p] * m + tgtm[q]) for q, p in c1.composition],
+                               composable_pair_groups(c))
+    record("interchange", fail)
 
     def unit_witness():
         for x in range(c1.n_objects):
@@ -215,22 +205,10 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
     record("hcomp-unit", unit_witness())
 
     def assoc_witness():
-        for (kind, x, y) in list(c.hcomp):
-            if kind != "ob":
-                continue
-            for z in range(c1.n_objects):
-                if c.left0(z) != c.right0(y):
-                    continue
-                if c.hob(c.hob(x, y), z) != c.hob(x, c.hob(y, z)):
-                    return ("ob", x, y, z)
-        for (kind, p, q) in list(c.hcomp):
-            if kind != "sq":
-                continue
-            for r in range(c1.n_morphisms):
-                if c.src.morphism_map[r] != c.tgt.morphism_map[q]:
-                    continue
-                if c.hsq(c.hsq(p, q), r) != c.hsq(p, c.hsq(q, r)):
-                    return ("sq", p, q, r)
+        for kind, rows in (("ob", hrows_of("ob", c1.n_objects)), ("sq", hrows)):
+            fail = associativity_failure(rows, [key[1:] for key in c.hcomp if key[0] == kind])
+            if fail:
+                return (kind, *fail)
         return None
 
     record("hcomp-associativity", assoc_witness())

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 from .errors import StructureError
 from .fincat import (
     FiniteCategory,
+    FunctorData,
     Monoid,
     MonoidAction,
     StrictMonoidalCategory,
@@ -131,21 +132,22 @@ def object_fixing_precosheaf(dec: DecoratedBicategory, g: Monoid, h: Monoid,
 
 
 def monoidal_functor_violations(src: StrictMonoidalCategory, tgt: StrictMonoidalCategory,
-                                object_map, morphism_map) -> list[tuple[str, str]]:
-    from .fincat import functor_violations
-
-    out = functor_violations(src.base, tgt.base, object_map, morphism_map)
-    if out:
-        return out
+                                object_map, morphism_map) -> Optional[tuple[str, str]]:
+    """The first law, with its detail, that the maps break as a strict
+    monoidal functor src -> tgt, or None when they form one."""
+    try:
+        FunctorData(src.base, tgt.base, object_map, morphism_map)
+    except StructureError as exc:
+        return exc.law, exc.detail
     if object_map[src.unit_obj] != tgt.unit_obj:
-        out.append(("monoidal-unit", "unit object not preserved"))
+        return "monoidal-unit", "unit object not preserved"
     for (a, b), c in src.tensor_obj.items():
         if tgt.tensor_obj[(object_map[a], object_map[b])] != object_map[c]:
-            out.append(("monoidal-tensor", f"objects ({a}, {b})"))
+            return "monoidal-tensor", f"objects ({a}, {b})"
     for (f, g), e in src.tensor_mor.items():
         if tgt.tensor_mor[(morphism_map[f], morphism_map[g])] != morphism_map[e]:
-            out.append(("monoidal-tensor", f"morphisms ({f}, {g})"))
-    return out
+            return "monoidal-tensor", f"morphisms ({f}, {g})"
+    return None
 
 
 @dataclass(frozen=True)

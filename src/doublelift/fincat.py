@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import StructureError
@@ -24,37 +25,60 @@ if TYPE_CHECKING:  # pragma: no cover
     from .twocat import StrictBicategory
 
 
-def _raise_first(violations: list[tuple[str, str]]) -> None:
-    if violations:
-        law, detail = violations[0]
-        raise StructureError(law, detail)
+# ---------------------------------------------------------------------------
+# law kernels over row tables
+
+
+def op_rows(n: int, entries) -> list[tuple[int, ...]]:
+    """Row table of a partial binary operation on the cells ``0 .. n-1``.
+
+    ``rows[x][y]`` is the value ``v`` of the entry ``((x, y), v)``, or the
+    sentinel ``n`` where there is none; row ``n`` and column ``n`` are all
+    sentinel.  Keys and values must already be known to be cells.
+    """
+    rows = [[n] * (n + 1) for _ in range(n + 1)]
+    for (x, y), v in entries:
+        rows[x][y] = v
+    return [tuple(row) for row in rows]
+
+
+def associativity_failure(rows, pairs) -> Optional[tuple[int, int, int]]:
+    """The first ``(x, y, z)`` with ``(x y) z != x (y z)`` in the row table
+    ``rows`` (see ``op_rows``), taking ``pairs`` in order and ``z``
+    ascending.
+
+    Once the boundary laws hold, the sentinel appears on both sides exactly
+    where a triple does not compose, so each pair is one row comparison
+    made in C, and only an unequal row is scanned in Python.
+    """
+    through = [itemgetter(*row) for row in rows]
+    for x, y in pairs:
+        row = rows[x]
+        left, right = rows[row[y]], through[y](row)
+        if left != right:
+            return x, y, next(z for z, v in enumerate(left) if v != right[z])
+    return None
+
+
+def interchange_failure(vrows, hrows, vpairs, groups) -> Optional[tuple[int, int, int, int]]:
+    """The first ``(q, p, q2, p2)`` with ``(q * q2) . (p * p2) !=
+    (q . p) * (q2 . p2)``, where ``.`` is the operation of the row table
+    ``vrows`` and ``*`` that of ``hrows`` (see ``op_rows``).
+
+    ``vpairs`` are the composable pairs ``(q, p, k)`` in order, each with
+    the index ``k`` of the group in ``groups`` that holds, in order, the
+    pairs ``(q2, p2)`` it is pasted onto.
+    """
+    for q, p, k in vpairs:
+        hq, hp, hqp = hrows[q], hrows[p], hrows[vrows[q][p]]
+        for q2, p2 in groups[k]:
+            if vrows[hq[q2]][hp[p2]] != hqp[vrows[q2][p2]]:
+                return q, p, q2, p2
+    return None
 
 
 # ---------------------------------------------------------------------------
 # monoids
-
-
-def monoid_violations(table, unit) -> list[tuple[str, str]]:
-    """Check a multiplication table against the monoid laws."""
-    out: list[tuple[str, str]] = []
-    n = len(table)
-    if not (0 <= unit < n):
-        return [("unit-range", f"unit {unit} outside [0, {n})")]
-    for x, row in enumerate(table):
-        if len(row) != n:
-            return [("table-shape", f"row {x} has length {len(row)}, expected {n}")]
-        for y, v in enumerate(row):
-            if not (0 <= v < n):
-                return [("table-range", f"table[{x}][{y}] = {v} outside [0, {n})")]
-    for x in range(n):
-        if table[unit][x] != x or table[x][unit] != x:
-            out.append(("unit-law", f"unit fails at element {x}"))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    out.append(("associativity", f"({x}, {y}, {z})"))
-    return out
 
 
 @dataclass(frozen=True)
@@ -64,8 +88,24 @@ class Monoid:
     names: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        _raise_first(monoid_violations(self.table, self.unit))
+        table = tuple(tuple(row) for row in self.table)
+        object.__setattr__(self, "table", table)
+        n, unit = len(table), self.unit
+        if not 0 <= unit < n:
+            raise StructureError("unit-range", f"unit {unit} outside [0, {n})")
+        for x, row in enumerate(table):
+            if len(row) != n:
+                raise StructureError("table-shape", f"row {x} has length {len(row)}, expected {n}")
+            for y, v in enumerate(row):
+                if not 0 <= v < n:
+                    raise StructureError("table-range", f"table[{x}][{y}] = {v} outside [0, {n})")
+        for x in range(n):
+            if table[unit][x] != x or table[x][unit] != x:
+                raise StructureError("unit-law", f"unit fails at element {x}")
+        rows = op_rows(n, (((x, y), v) for x, row in enumerate(table) for y, v in enumerate(row)))
+        fail = associativity_failure(rows, itertools.product(range(n), repeat=2))
+        if fail:
+            raise StructureError("associativity", str(fail))
 
     @property
     def size(self) -> int:
@@ -121,21 +161,6 @@ class Monoid:
         return Monoid(((0, 1), (1, 1)), 0, ("1", "0"))
 
 
-def monoid_morphism_violations(src: Monoid, tgt: Monoid, mapping) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    if len(mapping) != src.size:
-        return [("map-shape", f"expected {src.size} entries, got {len(mapping)}")]
-    if any(not (0 <= v < tgt.size) for v in mapping):
-        return [("map-range", "value outside target")]
-    if mapping[src.unit] != tgt.unit:
-        out.append(("unit-preservation", f"unit maps to {mapping[src.unit]}"))
-    for x in range(src.size):
-        for y in range(src.size):
-            if mapping[src.mul(x, y)] != tgt.mul(mapping[x], mapping[y]):
-                out.append(("product-preservation", f"({x}, {y})"))
-    return out
-
-
 @dataclass(frozen=True)
 class MonoidMorphism:
     source: Monoid
@@ -143,8 +168,19 @@ class MonoidMorphism:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        _raise_first(monoid_morphism_violations(self.source, self.target, self.mapping))
+        mapping = tuple(self.mapping)
+        object.__setattr__(self, "mapping", mapping)
+        src, tgt = self.source, self.target
+        if len(mapping) != src.size:
+            raise StructureError("map-shape", f"expected {src.size} entries, got {len(mapping)}")
+        if any(not 0 <= v < tgt.size for v in mapping):
+            raise StructureError("map-range", "value outside target")
+        if mapping[src.unit] != tgt.unit:
+            raise StructureError("unit-preservation", f"unit maps to {mapping[src.unit]}")
+        for x in range(src.size):
+            for y in range(src.size):
+                if mapping[src.mul(x, y)] != tgt.mul(mapping[x], mapping[y]):
+                    raise StructureError("product-preservation", f"({x}, {y})")
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -170,10 +206,10 @@ class MonoidAction:
         if len(self.maps) != self.acting.size:
             raise StructureError("action-shape", f"expected {self.acting.size} endomorphisms")
         for m, f in enumerate(self.maps):
-            _raise_first(
-                [(f"action-endomorphism[{m}].{law}", d)
-                 for law, d in monoid_morphism_violations(self.target, self.target, f)]
-            )
+            try:
+                MonoidMorphism(self.target, self.target, f)
+            except StructureError as exc:
+                raise StructureError(f"action-endomorphism[{m}].{exc.law}", exc.detail) from None
         ident = tuple(range(self.target.size))
         if self.maps[self.acting.unit] != ident:
             raise StructureError("action-unit", "unit does not act as identity")
@@ -291,46 +327,6 @@ def monoid_isomorphism(a: Monoid, b: Monoid) -> Optional[tuple[int, ...]]:
 # finite categories
 
 
-def category_violations(n_objects, dom, cod, identity, composition) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    n_mor = len(dom)
-    if len(cod) != n_mor:
-        return [("table-shape", "dom/cod length mismatch")]
-    if len(identity) != n_objects:
-        return [("table-shape", f"expected {n_objects} identity entries")]
-    if any(not (0 <= d < n_objects) for d in dom) or any(not (0 <= c < n_objects) for c in cod):
-        return [("boundary-range", "dom/cod outside object range")]
-    for a, i in enumerate(identity):
-        if not (0 <= i < n_mor) or dom[i] != a or cod[i] != a:
-            out.append(("identity-boundary", f"identity of object {a}"))
-    for (g, f), h in composition.items():
-        if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor):
-            return [("composition-range", f"entry ({g}, {f})")]
-        if cod[f] != dom[g]:
-            out.append(("composition-domain", f"({g}, {f}) not composable"))
-        elif dom[h] != dom[f] or cod[h] != cod[g]:
-            out.append(("composite-boundary", f"({g}, {f}) -> {h}"))
-    for g in range(n_mor):
-        for f in range(n_mor):
-            if cod[f] == dom[g] and (g, f) not in composition:
-                out.append(("composition-totality", f"({g}, {f}) missing"))
-    if out:
-        return out
-    for f in range(n_mor):
-        if composition[(f, identity[dom[f]])] != f or composition[(identity[cod[f]], f)] != f:
-            out.append(("identity-law", f"morphism {f}"))
-    for h in range(n_mor):
-        for g in range(n_mor):
-            if cod[g] != dom[h]:
-                continue
-            for f in range(n_mor):
-                if cod[f] != dom[g]:
-                    continue
-                if composition[(composition[(h, g)], f)] != composition[(h, composition[(g, f)])]:
-                    out.append(("associativity", f"({h}, {g}, {f})"))
-    return out
-
-
 @dataclass(frozen=True)
 class FiniteCategory:
     n_objects: int
@@ -348,8 +344,38 @@ class FiniteCategory:
         object.__setattr__(self, "identity", tuple(self.identity))
         object.__setattr__(self, "composition", dict(self.composition))
         if validate:
-            _raise_first(category_violations(
-                self.n_objects, self.dom, self.cod, self.identity, self.composition))
+            self._validate()
+
+    def _validate(self):
+        dom, cod, identity, comp = self.dom, self.cod, self.identity, self.composition
+        n_mor = len(dom)
+        if len(cod) != n_mor:
+            raise StructureError("table-shape", "dom/cod length mismatch")
+        if len(identity) != self.n_objects:
+            raise StructureError("table-shape", f"expected {self.n_objects} identity entries")
+        if any(not 0 <= a < self.n_objects for a in dom + cod):
+            raise StructureError("boundary-range", "dom/cod outside object range")
+        for (g, f), h in comp.items():
+            if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor):
+                raise StructureError("composition-range", f"entry ({g}, {f})")
+        for a, i in enumerate(identity):
+            if not 0 <= i < n_mor or dom[i] != a or cod[i] != a:
+                raise StructureError("identity-boundary", f"identity of object {a}")
+        for (g, f), h in comp.items():
+            if cod[f] != dom[g]:
+                raise StructureError("composition-domain", f"({g}, {f}) not composable")
+            if dom[h] != dom[f] or cod[h] != cod[g]:
+                raise StructureError("composite-boundary", f"({g}, {f}) -> {h}")
+        for g in range(n_mor):
+            for f in range(n_mor):
+                if cod[f] == dom[g] and (g, f) not in comp:
+                    raise StructureError("composition-totality", f"({g}, {f}) missing")
+        for f in range(n_mor):
+            if comp[(f, identity[dom[f]])] != f or comp[(identity[cod[f]], f)] != f:
+                raise StructureError("identity-law", f"morphism {f}")
+        fail = associativity_failure(op_rows(n_mor, comp.items()), sorted(comp))
+        if fail:
+            raise StructureError("associativity", str(fail))
 
     @property
     def n_morphisms(self) -> int:
@@ -421,30 +447,6 @@ def endomorphism_monoid_of_object(cat: FiniteCategory, obj: int) -> tuple[Monoid
 # functors
 
 
-def functor_violations(source: FiniteCategory, target: FiniteCategory,
-                       object_map, morphism_map) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    if len(object_map) != source.n_objects or len(morphism_map) != source.n_morphisms:
-        return [("map-shape", "object/morphism map length mismatch")]
-    if any(not (0 <= a < target.n_objects) for a in object_map):
-        return [("map-range", "object map outside target")]
-    if any(not (0 <= f < target.n_morphisms) for f in morphism_map):
-        return [("map-range", "morphism map outside target")]
-    for f in range(source.n_morphisms):
-        if target.dom[morphism_map[f]] != object_map[source.dom[f]] or \
-           target.cod[morphism_map[f]] != object_map[source.cod[f]]:
-            out.append(("boundary-preservation", f"morphism {f}"))
-    for a in range(source.n_objects):
-        if morphism_map[source.identity[a]] != target.identity[object_map[a]]:
-            out.append(("identity-preservation", f"object {a}"))
-    if out:
-        return out
-    for (g, f), h in source.composition.items():
-        if target.compose(morphism_map[g], morphism_map[f]) != morphism_map[h]:
-            out.append(("composition-preservation", f"({g}, {f})"))
-    return out
-
-
 @dataclass(frozen=True)
 class FunctorData:
     source: FiniteCategory
@@ -455,9 +457,22 @@ class FunctorData:
     def __post_init__(self):
         object.__setattr__(self, "object_map", tuple(self.object_map))
         object.__setattr__(self, "morphism_map", tuple(self.morphism_map))
-        _raise_first(
-            functor_violations(self.source, self.target, self.object_map, self.morphism_map)
-        )
+        source, target, omap, mmap = self.source, self.target, self.object_map, self.morphism_map
+        if len(omap) != source.n_objects or len(mmap) != source.n_morphisms:
+            raise StructureError("map-shape", "object/morphism map length mismatch")
+        if any(not 0 <= a < target.n_objects for a in omap):
+            raise StructureError("map-range", "object map outside target")
+        if any(not 0 <= f < target.n_morphisms for f in mmap):
+            raise StructureError("map-range", "morphism map outside target")
+        for f in range(source.n_morphisms):
+            if target.dom[mmap[f]] != omap[source.dom[f]] or target.cod[mmap[f]] != omap[source.cod[f]]:
+                raise StructureError("boundary-preservation", f"morphism {f}")
+        for a in range(source.n_objects):
+            if mmap[source.identity[a]] != target.identity[omap[a]]:
+                raise StructureError("identity-preservation", f"object {a}")
+        for (g, f), h in source.composition.items():
+            if target.compose(mmap[g], mmap[f]) != mmap[h]:
+                raise StructureError("composition-preservation", f"({g}, {f})")
 
     @staticmethod
     def identity(cat: FiniteCategory) -> "FunctorData":
@@ -476,57 +491,6 @@ class FunctorData:
 # strict monoidal categories
 
 
-def monoidal_violations(base: FiniteCategory, unit_obj, tensor_obj, tensor_mor) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    n_obj, n_mor = base.n_objects, base.n_morphisms
-    for a in range(n_obj):
-        for b in range(n_obj):
-            if (a, b) not in tensor_obj:
-                return [("tensor-totality", f"objects ({a}, {b})")]
-    for f in range(n_mor):
-        for g in range(n_mor):
-            if (f, g) not in tensor_mor:
-                return [("tensor-totality", f"morphisms ({f}, {g})")]
-    for f in range(n_mor):
-        for g in range(n_mor):
-            h = tensor_mor[(f, g)]
-            if base.dom[h] != tensor_obj[(base.dom[f], base.dom[g])] or \
-               base.cod[h] != tensor_obj[(base.cod[f], base.cod[g])]:
-                out.append(("tensor-boundary", f"({f}, {g})"))
-    if out:
-        return out
-    for a in range(n_obj):
-        if tensor_obj[(unit_obj, a)] != a or tensor_obj[(a, unit_obj)] != a:
-            out.append(("tensor-unit", f"object {a}"))
-    for f in range(n_mor):
-        iu = base.identity[unit_obj]
-        if tensor_mor[(iu, f)] != f or tensor_mor[(f, iu)] != f:
-            out.append(("tensor-unit", f"morphism {f}"))
-    for a in range(n_obj):
-        for b in range(n_obj):
-            for c in range(n_obj):
-                if tensor_obj[(tensor_obj[(a, b)], c)] != tensor_obj[(a, tensor_obj[(b, c)])]:
-                    out.append(("tensor-associativity", f"objects ({a}, {b}, {c})"))
-    for f in range(n_mor):
-        for g in range(n_mor):
-            for h in range(n_mor):
-                if tensor_mor[(tensor_mor[(f, g)], h)] != tensor_mor[(f, tensor_mor[(g, h)])]:
-                    out.append(("tensor-associativity", f"morphisms ({f}, {g}, {h})"))
-                    break
-    for a in range(n_obj):
-        for b in range(n_obj):
-            if tensor_mor[(base.identity[a], base.identity[b])] != base.identity[tensor_obj[(a, b)]]:
-                out.append(("tensor-identity", f"({a}, {b})"))
-    # interchange: (g (x) g') o (f (x) f') = (g o f) (x) (g' o f')
-    for (g, f) in base.composition:
-        for (g2, f2) in base.composition:
-            lhs = base.compose(tensor_mor[(g, g2)], tensor_mor[(f, f2)])
-            rhs = tensor_mor[(base.compose(g, f), base.compose(g2, f2))]
-            if lhs != rhs:
-                out.append(("interchange", f"(({g}, {f}), ({g2}, {f2}))"))
-    return out
-
-
 @dataclass(frozen=True)
 class StrictMonoidalCategory:
     base: FiniteCategory
@@ -537,7 +501,48 @@ class StrictMonoidalCategory:
     def __post_init__(self):
         object.__setattr__(self, "tensor_obj", dict(self.tensor_obj))
         object.__setattr__(self, "tensor_mor", dict(self.tensor_mor))
-        _raise_first(monoidal_violations(self.base, self.unit_obj, self.tensor_obj, self.tensor_mor))
+        base, unit, t_obj, t_mor = self.base, self.unit_obj, self.tensor_obj, self.tensor_mor
+        n_obj, n_mor = base.n_objects, base.n_morphisms
+        for name, table, n in (("objects", t_obj, n_obj), ("morphisms", t_mor, n_mor)):
+            for a in range(n):
+                for b in range(n):
+                    if (a, b) not in table:
+                        raise StructureError("tensor-totality", f"{name} ({a}, {b})")
+            if len(table) != n * n:
+                key = next(k for k in table if not (0 <= k[0] < n and 0 <= k[1] < n))
+                raise StructureError("tensor-totality", f"{name} {key} outside [0, {n})")
+        # every object pair is the domain of a pair of identities, so once
+        # this passes, the values of both tables are cells too
+        for f in range(n_mor):
+            for g in range(n_mor):
+                h = t_mor[(f, g)]
+                if not 0 <= h < n_mor or base.dom[h] != t_obj[(base.dom[f], base.dom[g])] or \
+                   base.cod[h] != t_obj[(base.cod[f], base.cod[g])]:
+                    raise StructureError("tensor-boundary", f"({f}, {g})")
+        if not 0 <= unit < n_obj:
+            raise StructureError("tensor-unit", f"unit object {unit} outside [0, {n_obj})")
+        for a in range(n_obj):
+            if t_obj[(unit, a)] != a or t_obj[(a, unit)] != a:
+                raise StructureError("tensor-unit", f"object {a}")
+        iu = base.identity[unit]
+        for f in range(n_mor):
+            if t_mor[(iu, f)] != f or t_mor[(f, iu)] != f:
+                raise StructureError("tensor-unit", f"morphism {f}")
+        mor_rows = op_rows(n_mor, t_mor.items())
+        for name, rows, n in (("objects", op_rows(n_obj, t_obj.items()), n_obj),
+                              ("morphisms", mor_rows, n_mor)):
+            fail = associativity_failure(rows, itertools.product(range(n), repeat=2))
+            if fail:
+                raise StructureError("tensor-associativity", f"{name} {fail}")
+        for a in range(n_obj):
+            for b in range(n_obj):
+                if t_mor[(base.identity[a], base.identity[b])] != base.identity[t_obj[(a, b)]]:
+                    raise StructureError("tensor-identity", f"({a}, {b})")
+        # (g (x) g') o (f (x) f') = (g o f) (x) (g' o f') for all composable pairs
+        fail = interchange_failure(op_rows(n_mor, base.composition.items()), mor_rows,
+                                   [(g, f, 0) for g, f in base.composition], [list(base.composition)])
+        if fail:
+            raise StructureError("interchange", str((fail[:2], fail[2:])))
 
 
 def monoidal_delooping(m: Monoid) -> StrictMonoidalCategory:

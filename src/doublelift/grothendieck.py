@@ -112,6 +112,15 @@ def constant_precosheaf(dec: DecoratedBicategory) -> Precosheaf:
 # total categories
 
 
+def _pair_composite(phi: Precosheaf, q: tuple[int, int, int],
+                    p: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The composite q after p of two pair morphisms given as (decoration
+    morphism, dom 1-cell, payload 2-cell): (f_q f_p, x_p, p_q . Phi_{f_q}(p_p))."""
+    fq, _, pq = q
+    fp, xp, pp = p
+    return phi.dec.decoration.compose(fq, fp), xp, phi.dec.bicat.vcomp[(pq, phi.on_cells2[fq][pp])]
+
+
 @dataclass(frozen=True)
 class TotalCategory:
     """The Grothendieck total category: objects are pairs (x, a) and
@@ -138,13 +147,10 @@ def total_category(phi: Precosheaf) -> TotalCategory:
     cod = tuple(obj_pos[(bstar.cod[f], b.cod1[p])] for (f, x, p) in morphisms)
     identity = tuple(mor_pos[(bstar.identity[a], x, b.id2[x])] for (a, x) in objects)
     comp: dict[tuple[int, int], int] = {}
-    for qi, (fq, xq, pq) in enumerate(morphisms):
-        for pi, (fp, xp, pp) in enumerate(morphisms):
-            if dom[qi] != cod[pi]:
-                continue
-            fc = bstar.compose(fq, fp)
-            payload = b.vcomp[(pq, phi.on_cells2[fq][pp])]
-            comp[(qi, pi)] = mor_pos[(fc, xp, payload)]
+    for qi, q in enumerate(morphisms):
+        for pi, p in enumerate(morphisms):
+            if dom[qi] == cod[pi]:
+                comp[(qi, pi)] = mor_pos[_pair_composite(phi, q, p)]
     cat = FiniteCategory(len(objects), dom, cod, identity, comp)
     return TotalCategory(cat, tuple(objects), tuple(morphisms))
 
@@ -203,6 +209,7 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
                 key_index[(f, x, p)] = idx
 
     identity = tuple(b.id2[x] for x in range(b.n1))
+    keys = list(key_index)  # the (f, dom 1-cell, payload) key of each morphism
     comp: dict[tuple[int, int], int] = {}
     n = len(dom)
     for q in range(n):
@@ -212,12 +219,8 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
             if not b.is_endo_1cell(dom[p]):
                 # both live in the non-endo part: plain vertical composition
                 comp[(q, p)] = b.vcomp[(q, p)]
-                continue
-            fq, _, pq = triples[q]
-            fp, _, pp = triples[p]
-            fc = bstar.compose(fq, fp)
-            payload = b.vcomp[(pq, phi.on_cells2[fq][pp])]
-            comp[(q, p)] = key_index[(fc, dom[p], payload)]
+            else:
+                comp[(q, p)] = key_index[_pair_composite(phi, keys[q], keys[p])]
     cat = FiniteCategory(b.n1, tuple(dom), tuple(cod), identity, comp)
     return ExtendedTotal(cat, tuple(triples), tuple(pair_info), key_index)
 

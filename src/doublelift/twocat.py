@@ -20,120 +20,30 @@ from .errors import StructureError
 from .fincat import (
     FiniteCategory,
     StrictMonoidalCategory,
-    _raise_first,
+    associativity_failure,
+    interchange_failure,
+    op_rows,
     vertical_category,
 )
 
 
-def bicategory_violations(n0, dom0, cod0, dom1, cod1, id1, id2,
-                          vcomp, hcomp1, hcomp2) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    n1, n2 = len(dom0), len(dom1)
-    if len(cod0) != n1 or len(cod1) != n2 or len(id1) != n0 or len(id2) != n1:
-        return [("table-shape", "cell table lengths inconsistent")]
-    if any(not (0 <= a < n0) for a in dom0 + cod0):
-        return [("boundary-range", "1-cell endpoint outside 0-cells")]
-    if any(not (0 <= x < n1) for x in dom1 + cod1):
-        return [("boundary-range", "2-cell boundary outside 1-cells")]
-    for p in range(n2):
-        if dom0[dom1[p]] != dom0[cod1[p]] or cod0[dom1[p]] != cod0[cod1[p]]:
-            out.append(("globe-boundary", f"2-cell {p} between non-parallel 1-cells"))
-    for a in range(n0):
-        if dom0[id1[a]] != a or cod0[id1[a]] != a:
-            out.append(("identity-boundary", f"id1 of 0-cell {a}"))
-    for x in range(n1):
-        if dom1[id2[x]] != x or cod1[id2[x]] != x:
-            out.append(("identity-boundary", f"id2 of 1-cell {x}"))
-    if out:
-        return out
-
-    # vertical structure: each parallel class is a category
-    for q in range(n2):
-        for p in range(n2):
-            if dom1[q] == cod1[p]:
-                if (q, p) not in vcomp:
-                    out.append(("vertical-totality", f"({q}, {p}) missing"))
-            elif (q, p) in vcomp:
-                out.append(("vertical-domain", f"({q}, {p}) not composable"))
-    if out:
-        return out
-    for (q, p), r in vcomp.items():
-        if dom1[r] != dom1[p] or cod1[r] != cod1[q]:
-            out.append(("vertical-boundary", f"({q}, {p}) -> {r}"))
-    for p in range(n2):
-        if vcomp[(p, id2[dom1[p]])] != p or vcomp[(id2[cod1[p]], p)] != p:
-            out.append(("vertical-identity", f"2-cell {p}"))
-    for (q, p) in list(vcomp):
-        for r in range(n2):
-            if dom1[r] == cod1[q]:
-                if vcomp[(vcomp[(r, q)], p)] != vcomp[(r, vcomp[(q, p)])]:
-                    out.append(("vertical-associativity", f"({r}, {q}, {p})"))
-    if out:
-        return out
-
-    # horizontal structure on 1-cells
-    for x in range(n1):
-        for y in range(n1):
-            if cod0[x] == dom0[y]:
-                if (x, y) not in hcomp1:
-                    out.append(("horizontal-totality", f"1-cells ({x}, {y}) missing"))
-            elif (x, y) in hcomp1:
-                out.append(("horizontal-domain", f"1-cells ({x}, {y}) not composable"))
-    if out:
-        return out
-    for (x, y), z in hcomp1.items():
-        if dom0[z] != dom0[x] or cod0[z] != cod0[y]:
-            out.append(("horizontal-boundary", f"1-cells ({x}, {y}) -> {z}"))
-    for x in range(n1):
-        if hcomp1[(id1[dom0[x]], x)] != x or hcomp1[(x, id1[cod0[x]])] != x:
-            out.append(("horizontal-unit", f"1-cell {x}"))
-    for (x, y) in list(hcomp1):
-        for z in range(n1):
-            if dom0[z] == cod0[y]:
-                if hcomp1[(hcomp1[(x, y)], z)] != hcomp1[(x, hcomp1[(y, z)])]:
-                    out.append(("horizontal-associativity", f"1-cells ({x}, {y}, {z})"))
-    if out:
-        return out
-
-    # horizontal structure on 2-cells
-    for p in range(n2):
-        for q in range(n2):
-            if cod0[dom1[p]] == dom0[dom1[q]]:
-                if (p, q) not in hcomp2:
-                    out.append(("horizontal-totality", f"2-cells ({p}, {q}) missing"))
-            elif (p, q) in hcomp2:
-                out.append(("horizontal-domain", f"2-cells ({p}, {q}) not composable"))
-    if out:
-        return out
-    for (p, q), r in hcomp2.items():
-        if dom1[r] != hcomp1[(dom1[p], dom1[q])] or cod1[r] != hcomp1[(cod1[p], cod1[q])]:
-            out.append(("horizontal-boundary", f"2-cells ({p}, {q}) -> {r}"))
-    for p in range(n2):
-        li = id2[id1[dom0[dom1[p]]]]
-        ri = id2[id1[cod0[dom1[p]]]]
-        if hcomp2[(li, p)] != p or hcomp2[(p, ri)] != p:
-            out.append(("horizontal-unit", f"2-cell {p}"))
-    for (p, q) in list(hcomp2):
-        for r in range(n2):
-            if dom0[dom1[r]] == cod0[dom1[q]]:
-                if hcomp2[(hcomp2[(p, q)], r)] != hcomp2[(p, hcomp2[(q, r)])]:
-                    out.append(("horizontal-associativity", f"2-cells ({p}, {q}, {r})"))
-    for (x, y), z in hcomp1.items():
-        if hcomp2[(id2[x], id2[y])] != id2[z]:
-            out.append(("horizontal-identity", f"id2 tensor at ({x}, {y})"))
-    if out:
-        return out
-
-    # interchange (exchange law)
-    for (q, p) in list(vcomp):
-        for (q2, p2) in list(vcomp):
-            if cod0[dom1[p]] != dom0[dom1[p2]]:
-                continue
-            lhs = vcomp[(hcomp2[(q, q2)], hcomp2[(p, p2)])]
-            rhs = hcomp2[(vcomp[(q, p)], vcomp[(q2, p2)])]
-            if lhs != rhs:
-                out.append(("interchange", f"(({q}, {p}), ({q2}, {p2}))"))
-    return out
+def _check_table(table, n, right, left, fits, law: str, cells: str) -> None:
+    """Raise unless ``table`` is defined exactly on the pairs ``(x, y)`` of
+    cells ``0 .. n-1`` with ``right[x] == left[y]``, and each value ``v`` is
+    a cell with ``fits(x, y, v)``.  Law names are ``law`` plus a suffix and
+    details start with ``cells``."""
+    for x in range(n):
+        for y in range(n):
+            if right[x] == left[y]:
+                if (x, y) not in table:
+                    raise StructureError(f"{law}-totality", f"{cells}({x}, {y}) missing")
+            elif (x, y) in table:
+                raise StructureError(f"{law}-domain", f"{cells}({x}, {y}) not composable")
+    for (x, y), v in table.items():
+        if not (0 <= x < n and 0 <= y < n):
+            raise StructureError(f"{law}-domain", f"{cells}({x}, {y}) not composable")
+        if not 0 <= v < n or not fits(x, y, v):
+            raise StructureError(f"{law}-boundary", f"{cells}({x}, {y}) -> {v}")
 
 
 @dataclass(frozen=True)
@@ -156,10 +66,76 @@ class StrictBicategory:
             object.__setattr__(self, attr, tuple(getattr(self, attr)))
         for attr in ("vcomp", "hcomp1", "hcomp2"):
             object.__setattr__(self, attr, dict(getattr(self, attr)))
-        _raise_first(
-            bicategory_violations(self.n0, self.dom0, self.cod0, self.dom1, self.cod1,
-                                  self.id1, self.id2, self.vcomp, self.hcomp1, self.hcomp2)
-        )
+        self._validate()
+
+    def _validate(self):
+        n0, n1, n2 = self.n0, self.n1, self.n2
+        dom0, cod0, dom1, cod1, id1, id2 = self.dom0, self.cod0, self.dom1, self.cod1, self.id1, self.id2
+        vcomp, hcomp1, hcomp2 = self.vcomp, self.hcomp1, self.hcomp2
+        if len(cod0) != n1 or len(cod1) != n2 or len(id1) != n0 or len(id2) != n1:
+            raise StructureError("table-shape", "cell table lengths inconsistent")
+        if any(not 0 <= a < n0 for a in dom0 + cod0):
+            raise StructureError("boundary-range", "1-cell endpoint outside 0-cells")
+        if any(not 0 <= x < n1 for x in dom1 + cod1):
+            raise StructureError("boundary-range", "2-cell boundary outside 1-cells")
+        for p in range(n2):
+            if dom0[dom1[p]] != dom0[cod1[p]] or cod0[dom1[p]] != cod0[cod1[p]]:
+                raise StructureError("globe-boundary", f"2-cell {p} between non-parallel 1-cells")
+        for a, x in enumerate(id1):
+            if not 0 <= x < n1 or dom0[x] != a or cod0[x] != a:
+                raise StructureError("identity-boundary", f"id1 of 0-cell {a}")
+        for x, p in enumerate(id2):
+            if not 0 <= p < n2 or dom1[p] != x or cod1[p] != x:
+                raise StructureError("identity-boundary", f"id2 of 1-cell {x}")
+
+        # vertical structure: each parallel class is a category
+        _check_table(vcomp, n2, dom1, cod1, lambda q, p, r: dom1[r] == dom1[p] and cod1[r] == cod1[q],
+                     "vertical", "")
+        for p in range(n2):
+            if vcomp[(p, id2[dom1[p]])] != p or vcomp[(id2[cod1[p]], p)] != p:
+                raise StructureError("vertical-identity", f"2-cell {p}")
+        vrows = op_rows(n2, vcomp.items())
+        # (r q) p = r (q p) has its free 2-cell r on the left, so the kernel
+        # runs on the transposed rows, where it is on the right
+        fail = associativity_failure(list(zip(*vrows)), [(p, q) for q, p in vcomp])
+        if fail:
+            raise StructureError("vertical-associativity", str(fail[::-1]))
+
+        # horizontal structure on 1-cells
+        _check_table(hcomp1, n1, cod0, dom0, lambda x, y, z: dom0[z] == dom0[x] and cod0[z] == cod0[y],
+                     "horizontal", "1-cells ")
+        for x in range(n1):
+            if hcomp1[(id1[dom0[x]], x)] != x or hcomp1[(x, id1[cod0[x]])] != x:
+                raise StructureError("horizontal-unit", f"1-cell {x}")
+        fail = associativity_failure(op_rows(n1, hcomp1.items()), hcomp1)
+        if fail:
+            raise StructureError("horizontal-associativity", f"1-cells {fail}")
+
+        # horizontal structure on 2-cells
+        left = [dom0[x] for x in dom1]
+        right = [cod0[x] for x in dom1]
+        _check_table(hcomp2, n2, right, left,
+                     lambda p, q, r: dom1[r] == hcomp1[(dom1[p], dom1[q])]
+                     and cod1[r] == hcomp1[(cod1[p], cod1[q])], "horizontal", "2-cells ")
+        for p in range(n2):
+            if hcomp2[(id2[id1[left[p]]], p)] != p or hcomp2[(p, id2[id1[right[p]]])] != p:
+                raise StructureError("horizontal-unit", f"2-cell {p}")
+        hrows = op_rows(n2, hcomp2.items())
+        fail = associativity_failure(hrows, hcomp2)
+        if fail:
+            raise StructureError("horizontal-associativity", f"2-cells {fail}")
+        for (x, y), z in hcomp1.items():
+            if hcomp2[(id2[x], id2[y])] != id2[z]:
+                raise StructureError("horizontal-identity", f"id2 tensor at ({x}, {y})")
+
+        # interchange (exchange law): (q, p) is pasted onto the vertical
+        # pairs whose 2-cells start at the 0-cell where p ends
+        groups: list[list[tuple[int, int]]] = [[] for _ in range(n0)]
+        for q, p in vcomp:
+            groups[left[p]].append((q, p))
+        fail = interchange_failure(vrows, hrows, [(q, p, right[p]) for q, p in vcomp], groups)
+        if fail:
+            raise StructureError("interchange", str((fail[:2], fail[2:])))
 
     @property
     def n1(self) -> int:

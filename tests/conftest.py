@@ -1,7 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from doublelift.examples import fixture_corpus
 from doublelift.lift import lift_data
+
+# HYPOTHESIS_PROFILE=ci runs the property tests that set no example count
+# of their own with ten times the default number of examples.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,158 @@
+"""Mutation fuzzing at the input boundary.
+
+Every file kind in ``serialize.KINDS`` is seeded with the canonical files of
+the corpus structures and of the lifts of three corpus entries.  A mutation
+sets one integer of a file to -1, to n (one past the largest integer in the
+file, so outside every cell range of it), to its value plus or minus one,
+or to 0.  ``serialize.loads`` must then return a structure or raise a
+``StructureError`` that names a law, never another exception, and
+``doublelift check`` on the file must exit 0, or exit 1 naming that law.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from doublelift.analysis import single_object_monoids
+from doublelift.cli import run
+from doublelift.errors import StructureError
+from doublelift.examples import fixture_corpus
+from doublelift.fincat import Monoid, delooping, end_category, monoidal_delooping
+from doublelift.lift import lift
+from doublelift.serialize import KINDS, dumps, loads
+from doublelift.twocat import decorate, suspend
+
+LIFTED = ("semidirect:z3:z2:inv", "twoobject", "graded:z2:z3:inv")
+
+
+@lru_cache(maxsize=None)
+def _seed_texts() -> tuple[str, ...]:
+    texts = set()
+    for tag, dec, phi in fixture_corpus():
+        values = [dec.decoration, dec.bicat, dec, phi, end_category(dec.bicat, 0)]
+        if dec.bicat.n0 == dec.bicat.n1 == 1:
+            values.extend(single_object_monoids(dec))
+        if tag in LIFTED:
+            values.append(lift(dec, phi))
+        texts.update(dumps(v) for v in values)
+    return tuple(sorted(texts))
+
+
+def _int_paths(obj, path=()):
+    if isinstance(obj, bool):
+        return
+    if isinstance(obj, int):
+        yield path
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _int_paths(item, path + (i,))
+    elif isinstance(obj, dict):
+        for key, item in obj.items():
+            yield from _int_paths(item, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _check(obj) -> tuple[int, str]:
+    """Exit status and report of ``doublelift check`` on the file ``obj``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "mutant.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = run(["check", path])
+    return code, out.getvalue()
+
+
+def test_the_seeds_cover_every_kind():
+    assert {json.loads(text)["kind"] for text in _seed_texts()} == set(KINDS)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_single_integer_mutations_end_in_a_named_law(data):
+    obj = json.loads(data.draw(st.sampled_from(_seed_texts())))
+    paths = list(_int_paths(obj))
+    path = data.draw(st.sampled_from(paths))
+    n = 1 + max(_at(obj, p) for p in paths)
+    old = _at(obj, path)
+    _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from([-1, n, old + 1, old - 1, 0]))
+    try:
+        loads(json.dumps(obj))
+        law = None
+    except StructureError as exc:
+        law = exc.law
+        assert law and str(exc).startswith(law), (path, str(exc))
+    code, report = _check(obj)
+    if law is None:
+        assert code == 0, (path, report)
+    else:
+        assert code == 1 and f"FAIL  load: {law}: " in report, (path, report)
+
+
+def _semidirect_dec():
+    z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
+    return decorate(delooping(z2), suspend(monoidal_delooping(z3)))
+
+
+# Inputs that ended in a bare IndexError or KeyError before ids were
+# range-checked, with the law they now fail.  Tables are stored as sorted
+# [lhs, rhs, result] triples, so [0, 2] is the first result.
+@pytest.mark.parametrize("path, value, law", [
+    (("bicat", "vcomp", 0, 2), 999, "vertical-boundary"),
+    (("bicat", "vcomp", 0, 2), -1, "vertical-boundary"),
+    (("bicat", "hcomp1", 0, 2), 999, "horizontal-boundary"),
+    (("bicat", "hcomp1", 0, 2), -1, "horizontal-boundary"),
+    (("bicat", "hcomp2", 0, 2), 999, "horizontal-boundary"),
+    (("bicat", "hcomp2", 0, 2), -1, "horizontal-boundary"),
+    (("bicat", "id1", 0), 999, "identity-boundary"),
+    (("bicat", "id1", 0), -1, "identity-boundary"),
+    (("bicat", "id2", 0), 999, "identity-boundary"),
+    (("bicat", "id2", 0), -1, "identity-boundary"),
+])
+def test_out_of_range_bicategory_ids_fail_a_named_law(path, value, law):
+    obj = json.loads(dumps(_semidirect_dec()))
+    _at(obj, path[:-1])[path[-1]] = value
+    code, report = _check(obj)
+    assert code == 1 and f"FAIL  load: {law}: " in report
+
+
+@pytest.mark.parametrize("path, value, law", [
+    (("tensor_mor", 0, 2), 7, "tensor-boundary"),
+    (("tensor_mor", 0, 2), -1, "tensor-boundary"),
+    (("unit_obj",), 5, "tensor-unit"),
+    (("unit_obj",), -1, "tensor-unit"),
+])
+def test_out_of_range_monoidal_ids_fail_a_named_law(path, value, law):
+    obj = json.loads(dumps(monoidal_delooping(Monoid.cyclic(3))))
+    _at(obj, path[:-1])[path[-1]] = value
+    code, report = _check(obj)
+    assert code == 1 and f"FAIL  load: {law}: " in report
+
+
+@pytest.mark.parametrize("kind, field, entry, law", [
+    ("decorated-bicategory", ("bicat", "vcomp"), [5, 0, 0], "vertical-domain"),
+    ("decorated-bicategory", ("bicat", "hcomp1"), [0, -1, 0], "horizontal-domain"),
+    ("decorated-bicategory", ("bicat", "hcomp2"), [3, 0, 0], "horizontal-domain"),
+    ("monoidal-category", ("tensor_obj",), [0, 1, 0], "tensor-totality"),
+    ("monoidal-category", ("tensor_mor",), [-1, 0, 0], "tensor-totality"),
+])
+def test_keys_outside_the_cells_fail_a_named_law(kind, field, entry, law):
+    value = _semidirect_dec() if kind == "decorated-bicategory" else monoidal_delooping(Monoid.cyclic(3))
+    obj = json.loads(dumps(value))
+    _at(obj, field).append(entry)
+    code, report = _check(obj)
+    assert code == 1 and f"FAIL  load: {law}: " in report
