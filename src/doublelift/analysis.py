@@ -24,9 +24,12 @@ DEFAULT_SEARCH_LIMIT = 10 ** 7
 def _search_limit() -> int:
     raw = os.environ.get("DOUBLELIFT_SEARCH_LIMIT")
     try:
-        return int(raw) if raw else DEFAULT_SEARCH_LIMIT
+        limit = int(raw) if raw else DEFAULT_SEARCH_LIMIT
     except ValueError:
         raise StructureError("search-limit", f"DOUBLELIFT_SEARCH_LIMIT={raw!r} is not an integer")
+    if limit < 0:
+        raise StructureError("search-limit", f"DOUBLELIFT_SEARCH_LIMIT={raw!r} is negative")
+    return limit
 
 
 # ---------------------------------------------------------------------------

@@ -237,16 +237,63 @@ class MonoidAction:
         return MonoidAction(z2, target, (tuple(range(target.size)), inv))
 
 
-def monoid_endomorphisms(m: Monoid) -> list[tuple[int, ...]]:
-    """All endomorphisms of ``m``, by brute force. Fine for |m| <= 6."""
-    out = []
-    for candidate in itertools.product(range(m.size), repeat=m.size):
-        if candidate[m.unit] != m.unit:
+def cayley_tree(m: Monoid) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """A generating set of ``m`` and a spanning tree of its right Cayley graph.
+
+    The generators are chosen greedily in ascending id order: each is the
+    least element not yet generated.  The tree lists, in breadth-first
+    order from the unit, each other element ``z`` as ``(z, y, k)`` with
+    ``z = y * generators[k]`` and ``y`` listed before ``z`` (Froidure &
+    Pin, *Algorithms for computing finite semigroups*, 1997; the Monoid
+    constructor has checked associativity, so no rewriting is needed).
+    """
+    gens: list[int] = []
+    tree: list[tuple[int, int, int]] = []
+    seen = {m.unit}
+    for x in range(m.size):
+        if x in seen:
             continue
-        if all(candidate[m.mul(x, y)] == m.mul(candidate[x], candidate[y])
-               for x in range(m.size) for y in range(m.size)):
-            out.append(candidate)
+        gens.append(x)
+        tree, seen, frontier = [], {m.unit}, [m.unit]
+        for y in frontier:
+            for k, g in enumerate(gens):
+                z = m.table[y][g]
+                if z not in seen:
+                    seen.add(z)
+                    frontier.append(z)
+                    tree.append((z, y, k))
+    return gens, tree
+
+
+def monoid_homomorphisms(source: Monoid, table, unit: int) -> list[tuple[int, ...]]:
+    """Every monoid homomorphism from ``source`` into the monoid with product
+    table ``table`` and unit ``unit``, in lexicographic order.
+
+    Only the images of the generators of ``cayley_tree(source)`` are tried,
+    in ``itertools.product`` order: each candidate is extended along the
+    tree, which pins the unit, and kept if it preserves every product.  That
+    is |target|^(number of generators) candidates: |target| for a cyclic
+    source on its own labels, but up to n^(n-1) for the endomorphisms of a
+    null monoid of size n, in which only the zero is a product of others.
+    Every id below a generator is generated by the generators before it, so
+    a homomorphism's values up to that generator follow from their images:
+    product order is lexicographic order.
+    """
+    gens, tree = cayley_tree(source)
+    n, src = source.size, source.table
+    out = []
+    for images in itertools.product(range(len(table)), repeat=len(gens)):
+        img = [unit] * n
+        for z, y, k in tree:
+            img[z] = table[img[y]][images[k]]
+        if all(img[src[x][y]] == table[img[x]][img[y]] for x in range(n) for y in range(n)):
+            out.append(tuple(img))
     return out
+
+
+def monoid_endomorphisms(m: Monoid) -> list[tuple[int, ...]]:
+    """All endomorphisms of ``m``, in lexicographic order."""
+    return monoid_homomorphisms(m, m.table, m.unit)
 
 
 def monoid_automorphisms(m: Monoid) -> list[tuple[int, ...]]:
@@ -254,73 +301,20 @@ def monoid_automorphisms(m: Monoid) -> list[tuple[int, ...]]:
 
 
 def enumerate_actions(acting: Monoid, target: Monoid) -> list[MonoidAction]:
-    """Every monoid morphism acting -> End(target), as MonoidAction values."""
+    """Every monoid morphism acting -> End(target), as MonoidAction values,
+    in lexicographic order of their indices into ``monoid_endomorphisms``."""
     endos = monoid_endomorphisms(target)
     index = {f: i for i, f in enumerate(endos)}
-    ident = tuple(range(target.size))
-    out = []
-    for assignment in itertools.product(range(len(endos)), repeat=acting.size):
-        if endos[assignment[acting.unit]] != ident:
-            continue
-        ok = True
-        for m1 in range(acting.size):
-            for m2 in range(acting.size):
-                f1, f2 = endos[assignment[m1]], endos[assignment[m2]]
-                comp = tuple(f1[f2[x]] for x in range(target.size))
-                if assignment[acting.mul(m1, m2)] != index.get(comp, -1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(MonoidAction(acting, target, tuple(endos[i] for i in assignment)))
-    return out
+    composites = [[index[tuple(f1[x] for x in f2)] for f2 in endos] for f1 in endos]
+    return [MonoidAction(acting, target, tuple(endos[i] for i in hom))
+            for hom in monoid_homomorphisms(acting, composites, index[tuple(range(target.size))])]
 
 
 def monoid_isomorphism(a: Monoid, b: Monoid) -> Optional[tuple[int, ...]]:
-    """Exhaustive isomorphism search with order-profile pruning."""
+    """The lexicographically first isomorphism a -> b, or None."""
     if a.size != b.size:
         return None
-    prof_a = [a.element_order(x) for x in range(a.size)]
-    prof_b = [b.element_order(x) for x in range(b.size)]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    candidates = [[y for y in range(b.size) if prof_b[y] == prof_a[x]] for x in range(a.size)]
-
-    mapping: list[int] = [-1] * a.size
-    used = [False] * b.size
-
-    def extend(x: int) -> bool:
-        if x == a.size:
-            return True
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            mapping[x] = y
-            used[y] = True
-            consistent = True
-            for u in range(x + 1):
-                if mapping[u] < 0:
-                    continue
-                for v in range(x + 1):
-                    if mapping[v] < 0:
-                        continue
-                    w = a.mul(u, v)
-                    if mapping[w] >= 0 and b.mul(mapping[u], mapping[v]) != mapping[w]:
-                        consistent = False
-                        break
-                if not consistent:
-                    break
-            if consistent and mapping[a.unit] in (b.unit, -1):
-                if extend(x + 1):
-                    return True
-            used[y] = False
-            mapping[x] = -1
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
+    return next((f for f in monoid_homomorphisms(a, b.table, b.unit) if len(set(f)) == a.size), None)
 
 
 # ---------------------------------------------------------------------------

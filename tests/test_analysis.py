@@ -201,6 +201,17 @@ def test_non_integer_search_limit_is_a_named_error(monkeypatch):
         find_folding(ld)
 
 
+def test_negative_search_limit_is_a_named_error(monkeypatch):
+    z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
+    ld = _lift(z3, z2, MonoidAction.inversion(z3))
+    monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "-5")
+    with pytest.raises(StructureError, match="search-limit"):
+        find_folding(ld)
+    monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "0")
+    result = find_folding(ld)
+    assert isinstance(result, SearchCertificate) and result.inconclusive and result.limit == 0
+
+
 def test_validate_folding_rejects_a_family_of_the_wrong_length():
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
     ld = _lift(z3, z2, MonoidAction.trivial(z2, z3))

@@ -165,6 +165,25 @@ def test_search_matches_the_oracle(search_lifts, monkeypatch, limit):
     assert (False in kinds) == (limit in ("1", "3"))
 
 
+def test_a_folding_exists_iff_the_action_is_trivial():
+    """The vertical law at m2 = unit and y1 = unit reads
+    lams[m1][y2] == y2, so the only candidate is the identity family, and
+    at y2 = unit it then reads phi(m2)(y1) == y1.  The search must agree
+    on every action, including those on Z6 and Z7."""
+    targets = {**TARGETS, "z6": Monoid.cyclic(6), "z7": Monoid.cyclic(7)}
+    for gname, g in ACTING.items():
+        for aname, a in targets.items():
+            dec = decorate(delooping(g), suspend(monoidal_delooping(a)))
+            ident = tuple(range(a.size))
+            for i, action in enumerate(enumerate_actions(g, a)):
+                ld = lift_data(dec, precosheaf_from_action(dec, action))
+                trivial = all(f == ident for f in action.maps)
+                for result in (find_folding(ld), find_cofolding(ld)):
+                    assert isinstance(result, Folding) == trivial, (gname, aname, i)
+                    assert not trivial or result.payload_maps == (ident,) * g.size
+                    assert trivial or result.exhausted
+
+
 def test_validate_folding_matches_the_oracle_on_perturbed_families(search_lifts):
     checked = 0
     for tag, ld in search_lifts:

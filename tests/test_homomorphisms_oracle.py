@@ -1,0 +1,132 @@
+"""Differential test of the homomorphism enumerator against brute force.
+
+The oracles below are ``monoid_endomorphisms`` and ``enumerate_actions`` as
+they were written before homomorphisms were enumerated from generators:
+they try every map of the elements (every tuple of endomorphisms), in
+lexicographic order.  The enumerator must return the same lists in the same
+order, on every ladder monoid under relabellings that move the unit away
+from 0, and ``monoid_isomorphism`` must return the first bijective
+homomorphism the brute force finds, or None when there is none.
+"""
+
+import itertools
+
+from hypothesis import given, strategies as st
+
+from doublelift.fincat import (
+    Monoid,
+    MonoidMorphism,
+    cayley_tree,
+    enumerate_actions,
+    monoid_endomorphisms,
+    monoid_isomorphism,
+)
+
+
+def oracle_homomorphisms(a: Monoid, b: Monoid) -> list[tuple[int, ...]]:
+    out = []
+    for candidate in itertools.product(range(b.size), repeat=a.size):
+        if candidate[a.unit] != b.unit:
+            continue
+        if all(candidate[a.mul(x, y)] == b.mul(candidate[x], candidate[y])
+               for x in range(a.size) for y in range(a.size)):
+            out.append(candidate)
+    return out
+
+
+def oracle_endomorphisms(m: Monoid) -> list[tuple[int, ...]]:
+    return oracle_homomorphisms(m, m)
+
+
+def oracle_actions(acting: Monoid, target: Monoid) -> list[tuple[tuple[int, ...], ...]]:
+    endos = oracle_endomorphisms(target)
+    index = {f: i for i, f in enumerate(endos)}
+    ident = tuple(range(target.size))
+    out = []
+    for assignment in itertools.product(range(len(endos)), repeat=acting.size):
+        if endos[assignment[acting.unit]] != ident:
+            continue
+        if all(assignment[acting.mul(m1, m2)] == index.get(
+                   tuple(endos[assignment[m1]][x] for x in endos[assignment[m2]]), -1)
+               for m1 in range(acting.size) for m2 in range(acting.size)):
+            out.append(tuple(endos[i] for i in assignment))
+    return out
+
+
+def _direct_product(a: Monoid, b: Monoid) -> Monoid:
+    n = b.size
+    return Monoid(tuple(tuple(a.mul(x1, y1) * n + b.mul(x2, y2) for y1 in range(a.size) for y2 in range(n))
+                        for x1 in range(a.size) for x2 in range(n)), a.unit * n + b.unit)
+
+
+def _null(n: int) -> Monoid:
+    """A zero (element 1) and n - 2 elements whose products are all the
+    zero, with a unit (element 0) adjoined: only the zero is a product of
+    other elements, so every other non-unit element is a generator."""
+    return Monoid(tuple(tuple(y if x == 0 else x if y == 0 else 1 for y in range(n))
+                        for x in range(n)), 0)
+
+
+Z2, FLAG = Monoid.cyclic(2), Monoid.flag()
+MONOIDS = {
+    **{f"z{n}": Monoid.cyclic(n) for n in range(1, 7)},
+    "flag": FLAG,
+    "z2xz2": _direct_product(Z2, Z2),
+    "flagxz2": _direct_product(FLAG, Z2),
+    "flagxflag": _direct_product(FLAG, FLAG),
+    "null4": _null(4),
+    "null5": _null(5),
+}
+ACTING = {"z2": Z2, "z3": Monoid.cyclic(3), "flag": FLAG}
+
+
+def _relabel(m: Monoid, perm) -> Monoid:
+    """``m`` with element x renamed perm[x]."""
+    inv = {p: x for x, p in enumerate(perm)}
+    return Monoid(tuple(tuple(perm[m.mul(inv[x], inv[y])] for y in range(m.size))
+                        for x in range(m.size)), perm[m.unit])
+
+
+@st.composite
+def relabelled(draw, monoids):
+    """One of ``monoids``, relabelled so that its unit is not 0 unless it
+    has one element."""
+    m = monoids[draw(st.sampled_from(sorted(monoids)))]
+    perm = draw(st.permutations(range(m.size)).filter(lambda p: m.size == 1 or p[m.unit] != 0))
+    return _relabel(m, perm)
+
+
+@given(relabelled(MONOIDS))
+def test_endomorphisms_equal_the_brute_force_list(m):
+    assert monoid_endomorphisms(m) == oracle_endomorphisms(m)
+
+
+@given(relabelled(ACTING), relabelled(MONOIDS))
+def test_actions_equal_the_brute_force_list(acting, target):
+    got = enumerate_actions(acting, target)
+    assert [action.maps for action in got] == oracle_actions(acting, target)
+    assert all(action.acting == acting and action.target == target for action in got)
+
+
+@given(st.data())
+def test_isomorphism_is_the_first_bijective_homomorphism(data):
+    a = data.draw(relabelled(MONOIDS))
+    b = data.draw(relabelled({k: m for k, m in MONOIDS.items() if m.size == a.size}))
+    iso = monoid_isomorphism(a, b)
+    bijections = [f for f in oracle_homomorphisms(a, b) if len(set(f)) == a.size]
+    assert iso == (bijections[0] if bijections else None)
+    if iso is not None:
+        MonoidMorphism(a, b, iso)  # the constructor checks the laws
+
+
+def test_monoids_of_different_sizes_are_not_isomorphic():
+    assert monoid_isomorphism(MONOIDS["z4"], MONOIDS["z5"]) is None
+
+
+def test_a_cyclic_group_on_its_own_labels_needs_one_generator():
+    """So its endomorphisms cost n candidates, not n^n."""
+    for n in range(2, 16):
+        m = Monoid.cyclic(n)
+        gens, tree = cayley_tree(m)
+        assert gens == [1] and sorted(z for z, _, _ in tree) == list(range(1, n))
+        assert monoid_endomorphisms(m) == [tuple(k * x % n for x in range(n)) for k in range(n)]

@@ -4,8 +4,10 @@ Every file kind in ``serialize.KINDS`` is seeded with the canonical files of
 the corpus structures and of the lifts of three corpus entries.  A mutation
 sets one integer of a file to -1, to n (one past the largest integer in the
 file, so outside every cell range of it), to its value plus or minus one,
-or to 0.  ``serialize.loads`` must then return a structure or raise a
-``StructureError`` that names a law, never another exception, and
+or to 0; drops one key of an object; retypes one integer as a string, a
+list or a bool; or drops or duplicates one row, an entry of a list whose
+entries are lists.  ``serialize.loads`` must then return a structure or
+raise a ``StructureError`` that names a law, never another exception, and
 ``doublelift check`` on the file must exit 0, or exit 1 naming that law.
 """
 
@@ -46,17 +48,16 @@ def _seed_texts() -> tuple[str, ...]:
     return tuple(sorted(texts))
 
 
-def _int_paths(obj, path=()):
-    if isinstance(obj, bool):
-        return
-    if isinstance(obj, int):
-        yield path
-    elif isinstance(obj, list):
-        for i, item in enumerate(obj):
-            yield from _int_paths(item, path + (i,))
-    elif isinstance(obj, dict):
-        for key, item in obj.items():
-            yield from _int_paths(item, path + (key,))
+def _walk(obj, path=()):
+    """(path, value) for every value nested in ``obj``, depth first."""
+    items = enumerate(obj) if isinstance(obj, list) else obj.items() if isinstance(obj, dict) else ()
+    for key, item in items:
+        yield path + (key,), item
+        yield from _walk(item, path + (key,))
+
+
+def _int_paths(obj):
+    return [path for path, value in _walk(obj) if type(value) is int]
 
 
 def _at(obj, path):
@@ -81,15 +82,7 @@ def test_the_seeds_cover_every_kind():
     assert {json.loads(text)["kind"] for text in _seed_texts()} == set(KINDS)
 
 
-@settings(deadline=None)
-@given(data=st.data())
-def test_single_integer_mutations_end_in_a_named_law(data):
-    obj = json.loads(data.draw(st.sampled_from(_seed_texts())))
-    paths = list(_int_paths(obj))
-    path = data.draw(st.sampled_from(paths))
-    n = 1 + max(_at(obj, p) for p in paths)
-    old = _at(obj, path)
-    _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from([-1, n, old + 1, old - 1, 0]))
+def _assert_loads_or_names_a_law(obj, path):
     try:
         loads(json.dumps(obj))
         law = None
@@ -101,6 +94,54 @@ def test_single_integer_mutations_end_in_a_named_law(data):
         assert code == 0, (path, report)
     else:
         assert code == 1 and f"FAIL  load: {law}: " in report, (path, report)
+
+
+def _draw_seed(data):
+    return json.loads(data.draw(st.sampled_from(_seed_texts())))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_single_integer_mutations_end_in_a_named_law(data):
+    obj = _draw_seed(data)
+    paths = _int_paths(obj)
+    path = data.draw(st.sampled_from(paths))
+    n = 1 + max(_at(obj, p) for p in paths)
+    old = _at(obj, path)
+    _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from([-1, n, old + 1, old - 1, 0]))
+    _assert_loads_or_names_a_law(obj, path)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_dropped_keys_end_in_a_named_law(data):
+    obj = _draw_seed(data)
+    path = data.draw(st.sampled_from([p for p, _ in _walk(obj) if isinstance(p[-1], str)]))
+    del _at(obj, path[:-1])[path[-1]]
+    _assert_loads_or_names_a_law(obj, path)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_retyped_integers_end_in_a_named_law(data):
+    obj = _draw_seed(data)
+    path = data.draw(st.sampled_from(_int_paths(obj)))
+    old = _at(obj, path)
+    _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from([str(old), [old], True, False]))
+    _assert_loads_or_names_a_law(obj, path)
+
+
+@settings(deadline=None)
+@given(data=st.data(), duplicate=st.booleans())
+def test_dropped_or_duplicated_rows_end_in_a_named_law(data, duplicate):
+    obj = _draw_seed(data)
+    path = data.draw(st.sampled_from([p for p, v in _walk(obj) if isinstance(p[-1], int) and type(v) is list]))
+    rows, i = _at(obj, path[:-1]), path[-1]
+    if duplicate:
+        rows.insert(i, rows[i])
+    else:
+        del rows[i]
+    _assert_loads_or_names_a_law(obj, path)
 
 
 def _semidirect_dec():
