@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from .analysis import gamma_data, single_object_monoids, single_object_precosheaf
 from .doublecat import DoubleCategory, DoubleFunctor, globular_squares
 from .errors import StructureError
-from .fincat import FunctorData, Monoid, MonoidAction, monoid_endomorphisms
-from .grothendieck import Precosheaf
+from .fincat import FunctorData, Monoid, MonoidAction, delooping, monoid_endomorphisms, monoidal_delooping
+from .grothendieck import Precosheaf, precosheaf_from_action
 from .lift import LiftData, PrecosheafMap, lift_data, lift_functor
-from .twocat import DecoratedBicategory
+from .twocat import DecoratedBicategory, decorate, suspend
 
 
 def _check_shape(c: DoubleCategory) -> None:
@@ -127,9 +127,16 @@ def enumerate_precosheaf_maps(phi: Precosheaf, psi: Precosheaf) -> list[Precoshe
     return out
 
 
+def group_decoration(g: Monoid, a: Monoid) -> DecoratedBicategory:
+    """(Omega G, 2 Omega A), over which a group g acts on a commutative
+    monoid a."""
+    if not g.is_group():
+        raise StructureError("not-a-group", "decorating monoid must be a group")
+    return decorate(delooping(g), suspend(monoidal_delooping(a)))
+
+
 @dataclass(frozen=True)
 class TriangleReport:
-    dec: DecoratedBicategory  # the decorated bicategory that the actions act over
     entries: tuple[tuple[str, bool, str], ...]
 
     @property
@@ -141,13 +148,7 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
     """Verify both triangle laws and the naturality of the comparison
     functors over a family of actions of a group g on a commutative
     monoid a."""
-    from .fincat import delooping, monoidal_delooping
-    from .grothendieck import precosheaf_from_action
-    from .twocat import decorate, suspend
-
-    if not g.is_group():
-        raise StructureError("not-a-group", "decorating monoid must be a group")
-    dec = decorate(delooping(g), suspend(monoidal_delooping(a)))
+    dec = group_decoration(g, a)
     entries: list[tuple[str, bool, str]] = []
     # each lift with its comparison functor and its extracted pre-cosheaf,
     # built once and reused below; both functors passed to _globular_map
@@ -183,4 +184,4 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
                 ok = lhs.f1.morphism_map == rhs.f1.morphism_map
                 entries.append((f"naturality[{i},{j},{k}]", ok,
                                 "comparison commutes with lifted maps"))
-    return TriangleReport(dec, tuple(entries))
+    return TriangleReport(tuple(entries))

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .doublecat import DoubleCategory, HKey, decorated_horizontalization, globular_squares
 from .errors import StructureError
-from .fincat import FiniteCategory, FunctorData, Monoid, monoid_automorphisms
+from .fincat import FiniteCategory, FunctorData, Monoid, endomorphism_monoid_of_object, monoid_automorphisms
 from .grothendieck import Precosheaf
 from .lift import LiftData, lift_data
 from .twocat import DecoratedBicategory
@@ -221,17 +221,14 @@ def single_object_monoids(dec: DecoratedBicategory) -> tuple[Monoid, Monoid]:
         raise StructureError("shape-mismatch", "folding search needs a single 0-cell")
     if b.n1 != 1:
         raise StructureError("shape-mismatch", "folding search needs a single 1-cell")
-    m = Monoid(
-        tuple(tuple(bstar.compose(x, y) for y in range(bstar.n_morphisms))
-              for x in range(bstar.n_morphisms)),
-        bstar.identity[0],
-    )
+    m, _ = endomorphism_monoid_of_object(bstar, 0)
+    # commutative by Eckmann-Hilton: over one 0-cell and one 1-cell the
+    # interchange and unit laws, checked when b was built, make the vertical
+    # composite of 2-cells equal to the horizontal one and commutative
     a = Monoid(
         tuple(tuple(b.vcomp[(x, y)] for y in range(b.n2)) for x in range(b.n2)),
         b.id2[0],
     )
-    if not a.is_commutative:
-        raise StructureError("shape-mismatch", "globular monoid must be commutative")
     return m, a
 
 

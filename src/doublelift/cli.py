@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import serialize
-from .adjoint import check_triangle_identities
+from .adjoint import check_triangle_identities, group_decoration
 from .analysis import (
     Folding,
     find_folding,
@@ -72,13 +72,9 @@ class Report:
         return ""
 
 
-def _load(path: str):
-    return serialize.load(path)
-
-
 def cmd_check(args, report: Report) -> None:
     try:
-        value = _load(args.file)
+        value = serialize.load(args.file)
     except StructureError as exc:
         report.add("load", False, f"{exc.law}: {exc.detail}")
         return
@@ -90,8 +86,8 @@ def cmd_check(args, report: Report) -> None:
 
 
 def cmd_lift(args, report: Report) -> None:
-    dec = _load(args.dec)
-    phi = _load(args.phi)
+    dec = serialize.load(args.dec)
+    phi = serialize.load(args.phi)
     if not isinstance(dec, DecoratedBicategory) or not isinstance(phi, Precosheaf):
         report.add("input-kinds", False, "expected a decorated-bicategory and a precosheaf")
         return
@@ -108,7 +104,7 @@ def cmd_lift(args, report: Report) -> None:
 
 
 def cmd_analyze(args, report: Report) -> None:
-    dc = _load(args.file)
+    dc = serialize.load(args.file)
     if not isinstance(dc, DoubleCategory):
         report.add("input-kinds", False, "expected a double-category file")
         return
@@ -120,7 +116,7 @@ def cmd_analyze(args, report: Report) -> None:
 
 
 def cmd_folding(args, report: Report) -> None:
-    dc = _load(args.file)
+    dc = serialize.load(args.file)
     if not isinstance(dc, DoubleCategory):
         report.add("input-kinds", False, "expected a double-category file")
         return
@@ -139,35 +135,27 @@ def cmd_folding(args, report: Report) -> None:
 
 
 def cmd_adjunction(args, report: Report) -> None:
-    g = _load(args.group)
-    a = _load(args.commutative)
+    g = serialize.load(args.group)
+    a = serialize.load(args.commutative)
     if not isinstance(g, Monoid) or not isinstance(a, Monoid):
         report.add("input-kinds", False, "expected two monoid files")
         return
-    phis, actions = [], []
+    dec = group_decoration(g, a)
+    actions = []
     for path in args.phis:
-        phi = _load(path)
+        phi = serialize.load(path)
         if not isinstance(phi, Precosheaf):
             report.add("input-kinds", False, f"{path} is not a precosheaf")
             return
-        # the sizes guard the reading of the action below; the tables are
-        # compared once the triangle check has built the decorated bicategory
-        bstar = phi.dec.decoration
-        if bstar.n_objects != 1 or bstar.n_morphisms != g.size or phi.dec.bicat.n2 != a.size:
-            report.add("input-kinds", False, f"{path} is not a one-object precosheaf with "
-                                             f"{g.size} morphisms and {a.size} 2-cells")
+        if phi.dec != dec:
+            report.add("input-kinds", False, f"{path} is not a precosheaf over the decorated "
+                                             "bicategory of the two monoid files")
             return
         maps = tuple(
             tuple(phi.on_cells2[m][x] for x in range(a.size)) for m in range(g.size)
         )
-        phis.append(phi)
         actions.append(MonoidAction(g, a, maps))
     triangle = check_triangle_identities(g, a, actions)
-    for path, phi in zip(args.phis, phis):
-        if phi.dec != triangle.dec:
-            report.add("input-kinds", False, f"{path} is not a precosheaf over the decorated "
-                                             "bicategory of the two monoid files")
-            return
     for name, ok, detail in triangle.entries:
         report.add(name, ok, detail)
 

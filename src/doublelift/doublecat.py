@@ -126,32 +126,28 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
         or c.tgt.morphism_map[c.hid.morphism_map[f]] != f
     ))
 
-    def ob_witness():
-        for x in range(c1.n_objects):
-            for y in range(c1.n_objects):
-                defined = ("ob", x, y) in c.hcomp
-                composable = c.right0(x) == c.left0(y)
-                if defined != composable:
+    # the two parts of horizontal composition: 1-cells under the object maps
+    # and squares under the morphism maps
+    parts = (("ob", "1cells", c1.n_objects, c.src.object_map, c.tgt.object_map, c.hid.object_map),
+             ("sq", "squares", c1.n_morphisms, c.src.morphism_map, c.tgt.morphism_map,
+              c.hid.morphism_map))
+
+    def totality_witness(kind: str, n: int, left, right):
+        for x in range(n):
+            for y in range(n):
+                defined = (kind, x, y) in c.hcomp
+                if defined != (right[x] == left[y]):
                     return (x, y, "defined" if defined else "missing")
-        # a key outside the cells, or of a kind other than "ob" and "sq"
-        cells = range(c1.n_objects)
-        return first(key + ("defined",) for key in c.hcomp if key[0] != "sq"
-                     and not (key[0] == "ob" and key[1] in cells and key[2] in cells))
+        # a key outside the cells; a key of neither kind counts against 1-cells
+        cells = range(n)
+        for key in c.hcomp:
+            owner = "sq" if key[0] == "sq" else "ob"
+            if owner == kind and not (key[0] == kind and key[1] in cells and key[2] in cells):
+                return key + ("defined",)
+        return None
 
-    record("hcomp-totality-1cells", ob_witness())
-
-    def sq_witness():
-        for p in range(c1.n_morphisms):
-            for q in range(c1.n_morphisms):
-                defined = ("sq", p, q) in c.hcomp
-                composable = c.tgt.morphism_map[p] == c.src.morphism_map[q]
-                if defined != composable:
-                    return (p, q, "defined" if defined else "missing")
-        cells = range(c1.n_morphisms)
-        return first(key + ("defined",) for key in c.hcomp
-                     if key[0] == "sq" and not (key[1] in cells and key[2] in cells))
-
-    record("hcomp-totality-squares", sq_witness())
+    for kind, name, n, left, right, _ in parts:
+        record(f"hcomp-totality-{name}", totality_witness(kind, n, left, right))
     if any(not ok for _, ok, _ in report):
         return report
 
@@ -190,16 +186,10 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
     record("interchange", fail)
 
     def unit_witness():
-        for x in range(c1.n_objects):
-            il = c.hid.object_map[c.left0(x)]
-            ir = c.hid.object_map[c.right0(x)]
-            if c.hob(il, x) != x or c.hob(x, ir) != x:
-                return ("ob", x)
-        for p in range(c1.n_morphisms):
-            il = c.hid.morphism_map[c.src.morphism_map[p]]
-            ir = c.hid.morphism_map[c.tgt.morphism_map[p]]
-            if c.hsq(il, p) != p or c.hsq(p, ir) != p:
-                return ("sq", p)
+        for kind, _, n, left, right, hid in parts:
+            for x in range(n):
+                if c.hcomp[(kind, hid[left[x]], x)] != x or c.hcomp[(kind, x, hid[right[x]])] != x:
+                    return (kind, x)
         return None
 
     record("hcomp-unit", unit_witness())
@@ -228,29 +218,21 @@ def horizontalization(c: DoubleCategory) -> StrictBicategory:
     """
     glob = sorted(globular_squares(c))
     pos = {p: i for i, p in enumerate(glob)}
-    dom1 = tuple(c.c1.dom[p] for p in glob)
-    cod1 = tuple(c.c1.cod[p] for p in glob)
-    id1 = tuple(c.hid.object_map)
-    id2 = tuple(pos[c.c1.identity[x]] for x in range(c.c1.n_objects))
-    vcomp = {
-        (pos[q], pos[p]): pos[c.c1.compose(q, p)]
-        for q in glob for p in glob if c.c1.dom[q] == c.c1.cod[p]
-    }
-    hcomp1 = {
-        (x, y): c.hob(x, y)
-        for x in range(c.c1.n_objects) for y in range(c.c1.n_objects)
-        if c.right0(x) == c.left0(y)
-    }
-    hcomp2 = {
-        (pos[p], pos[q]): pos[c.hsq(p, q)]
-        for p in glob for q in glob
-        if c.tgt.morphism_map[p] == c.src.morphism_map[q]
-    }
+    # restrict renumbers glob in ascending order, as pos does, and checks
+    # closure only; every table is kept in ascending key order, in which the
+    # bicategory laws and check_monoidal_map report their first failure
+    v = c.c1.restrict(glob)
+    hcomp1, hcomp2 = {}, {}
+    for (kind, x, y), z in sorted(c.hcomp.items()):
+        if kind == "ob":
+            hcomp1[(x, y)] = z
+        elif x in pos and y in pos:
+            hcomp2[(pos[x], pos[y])] = pos[z]
     return StrictBicategory(
         c.c0.n_objects, tuple(c.left0(x) for x in range(c.c1.n_objects)),
         tuple(c.right0(x) for x in range(c.c1.n_objects)),
-        dom1, cod1, id1, id2, vcomp, hcomp1, hcomp2,
-        names1=c.c1.object_names,
+        v.dom, v.cod, tuple(c.hid.object_map), v.identity, dict(sorted(v.composition.items())),
+        hcomp1, hcomp2, names1=c.c1.object_names,
     )
 
 

@@ -5,22 +5,20 @@ a hand-built two-object fixture, and the bounded matrix slice whose square
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import StructureError
 from .fincat import (
     FiniteCategory,
-    FunctorData,
     Monoid,
     MonoidAction,
+    MonoidMorphism,
     StrictMonoidalCategory,
     delooping,
     endomorphism_monoid_of_object,
-    monoid_automorphisms,
     monoidal_delooping,
     semidirect_product,
 )
@@ -64,12 +62,10 @@ def build_semidirect_fixture(n: Monoid, m: Monoid, action: MonoidAction) -> Semi
             bij.append(ld.ext.key_index[(y, 0, x)])
     if sorted(bij) != list(range(sd.size)):
         raise StructureError("semidirect-isomorphism", "squares are not in bijection with N x| M")
-    for e1 in range(sd.size):
-        for e2 in range(sd.size):
-            if bij[sd.mul(e1, e2)] != endo.mul(bij[e1], bij[e2]):
-                raise StructureError("semidirect-isomorphism", f"product ({e1}, {e2})")
-    if bij[sd.unit] != endo.unit:
-        raise StructureError("semidirect-isomorphism", "unit")
+    try:
+        MonoidMorphism(sd, endo, bij)
+    except StructureError as exc:
+        raise StructureError("semidirect-isomorphism", f"{exc.law}: {exc.detail}") from None
     return SemidirectFixture(dec, phi, ld.dc, ld, sd, endo, tuple(bij))
 
 
@@ -81,16 +77,12 @@ def graded_category(g: Monoid, h: Monoid) -> StrictMonoidalCategory:
     """The G-graded category with one copy of H at each degree: objects are
     the degrees, endomorphisms of degree x are the elements of H, tensor is
     multiplication of degrees and of elements."""
-    return _graded(g, h, MonoidAction.trivial(g, h))
+    return twisted_graded_category(g, h, MonoidAction.trivial(g, h))
 
 
 def twisted_graded_category(g: Monoid, h: Monoid, action: MonoidAction) -> StrictMonoidalCategory:
     """Same underlying category, with the tensor of elements twisted by the
     degree of the left factor acting on the right element."""
-    return _graded(g, h, action)
-
-
-def _graded(g: Monoid, h: Monoid, action: MonoidAction) -> StrictMonoidalCategory:
     if not h.is_commutative:
         raise StructureError("shape-mismatch", "H must be commutative")
     ng, nh = g.size, h.size
@@ -129,25 +121,6 @@ def object_fixing_precosheaf(dec: DecoratedBicategory, g: Monoid, h: Monoid,
         for m in range(g.size)
     )
     return Precosheaf(dec, on1, on2)
-
-
-def monoidal_functor_violations(src: StrictMonoidalCategory, tgt: StrictMonoidalCategory,
-                                object_map, morphism_map) -> Optional[tuple[str, str]]:
-    """The first law, with its detail, that the maps break as a strict
-    monoidal functor src -> tgt, or None when they form one."""
-    try:
-        FunctorData(src.base, tgt.base, object_map, morphism_map)
-    except StructureError as exc:
-        return exc.law, exc.detail
-    if object_map[src.unit_obj] != tgt.unit_obj:
-        return "monoidal-unit", "unit object not preserved"
-    for (a, b), c in src.tensor_obj.items():
-        if tgt.tensor_obj[(object_map[a], object_map[b])] != object_map[c]:
-            return "monoidal-tensor", f"objects ({a}, {b})"
-    for (f, g), e in src.tensor_mor.items():
-        if tgt.tensor_mor[(morphism_map[f], morphism_map[g])] != morphism_map[e]:
-            return "monoidal-tensor", f"morphisms ({f}, {g})"
-    return None
 
 
 @dataclass(frozen=True)
@@ -214,19 +187,14 @@ def build_graded_fixture(g: Monoid, h: Monoid, action: MonoidAction) -> GradedFi
     tensor_obj = {(x, y): ld.dc.c0.compose(x, y) for x in range(g.size) for y in range(g.size)}
     vertical = StrictMonoidalCategory(base, g.unit, tensor_obj, tensor_mor)
 
+    # vertical numbers its morphisms enc(x, e) as the twisted graded
+    # category does, so the isomorphism is the identity and the tables agree
     twisted = twisted_graded_category(g, h, action)
-
-    witness = None
-    for sigmas in itertools.product(monoid_automorphisms(h), repeat=g.size):
-        omap = tuple(range(g.size))
-        mmap = tuple(enc(x, sigmas[x][e]) for x in range(g.size) for e in range(nh))
-        if not monoidal_functor_violations(vertical, twisted, omap, mmap):
-            witness = (omap, mmap)
-            break
-    if witness is None:
+    if vertical != twisted:
         raise StructureError("no-isomorphism",
                              "vertical category is not isomorphic to the twisted category")
-    return GradedFixture(dec, phi, ld.dc, ld, vertical, twisted, witness[0], witness[1])
+    return GradedFixture(dec, phi, ld.dc, ld, vertical, twisted,
+                         tuple(range(g.size)), tuple(range(g.size * nh)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from typing import Optional
 
 import pytest
 from fractions import Fraction
@@ -16,12 +17,37 @@ from doublelift.examples import (
     mat_square_in_v1,
     matmul,
     matrix,
-    monoidal_functor_violations,
     proportional_tensor_square,
     rank,
     twisted_graded_category,
 )
-from doublelift.fincat import Monoid, MonoidAction, monoid_isomorphism
+from doublelift.fincat import (
+    FunctorData,
+    Monoid,
+    MonoidAction,
+    StrictMonoidalCategory,
+    enumerate_actions,
+    monoid_isomorphism,
+)
+
+
+def monoidal_functor_violations(src: StrictMonoidalCategory, tgt: StrictMonoidalCategory,
+                                object_map, morphism_map) -> Optional[tuple[str, str]]:
+    """The first law, with its detail, that the maps break as a strict
+    monoidal functor src -> tgt, or None when they form one."""
+    try:
+        FunctorData(src.base, tgt.base, object_map, morphism_map)
+    except StructureError as exc:
+        return exc.law, exc.detail
+    if object_map[src.unit_obj] != tgt.unit_obj:
+        return "monoidal-unit", "unit object not preserved"
+    for (a, b), c in src.tensor_obj.items():
+        if tgt.tensor_obj[(object_map[a], object_map[b])] != object_map[c]:
+            return "monoidal-tensor", f"objects ({a}, {b})"
+    for (f, g), e in src.tensor_mor.items():
+        if tgt.tensor_mor[(morphism_map[f], morphism_map[g])] != morphism_map[e]:
+            return "monoidal-tensor", f"morphisms ({f}, {g})"
+    return None
 
 
 def _symmetric_group(n):
@@ -102,6 +128,35 @@ def test_graded_fixture_with_the_unit_elsewhere():
     ref = build_graded_fixture(Monoid.cyclic(2), Monoid.cyclic(3),
                                MonoidAction.inversion(Monoid.cyclic(3)))
     assert fx.dc.c1.n_morphisms == ref.dc.c1.n_morphisms
+
+
+def _relabel(m: Monoid, perm) -> Monoid:
+    """``m`` with element x renamed perm[x]."""
+    inv = {p: x for x, p in enumerate(perm)}
+    return Monoid(tuple(tuple(perm[m.mul(inv[x], inv[y])] for y in range(m.size))
+                        for x in range(m.size)), perm[m.unit])
+
+
+def test_the_twist_is_on_the_nose():
+    # every action by automorphisms of Z1-Z4 on Z1-Z5, on the monoids' own
+    # labels and on two relabellings that move the unit away from 0
+    relabellings = (lambda n: range(n), lambda n: [(x + 1) % n for x in range(n)],
+                    lambda n: range(n - 1, -1, -1))
+    fixtures = 0
+    for ng in range(1, 5):
+        for nh in range(1, 6):
+            for perm in relabellings:
+                g = _relabel(Monoid.cyclic(ng), list(perm(ng)))
+                h = _relabel(Monoid.cyclic(nh), list(perm(nh)))
+                for action in enumerate_actions(g, h):
+                    if any(len(set(f)) != nh for f in action.maps):
+                        continue
+                    fx = build_graded_fixture(g, h, action)
+                    assert fx.vertical == fx.twisted
+                    assert fx.iso_object_map == tuple(range(ng))
+                    assert fx.iso_morphism_map == tuple(range(ng * nh))
+                    fixtures += 1
+    assert fixtures == 84
 
 
 def test_two_object_fixture_lifts():

@@ -6,7 +6,7 @@ from doublelift.cli import run
 from doublelift.errors import StructureError
 from doublelift.examples import build_semidirect_fixture
 from doublelift.fincat import Monoid, MonoidAction, delooping, monoidal_delooping
-from doublelift.grothendieck import precosheaf_from_action
+from doublelift.grothendieck import constant_precosheaf, precosheaf_from_action
 from doublelift.serialize import dump, dumps, load, loads
 from doublelift.twocat import decorate, suspend
 
@@ -249,6 +249,20 @@ def test_cli_adjunction_rejects_a_precosheaf_over_the_flag_monoid(tmp_path, caps
     captured = capsys.readouterr()
     assert "FAIL  input-kinds" in captured.out
     assert "first failing law: input-kinds" in captured.err
+
+
+def test_cli_adjunction_compares_decorations_before_reading_an_action(tmp_path, capsys):
+    # the flag pre-cosheaf has Z2's sizes, 2 morphisms and 3 2-cells, but
+    # read as a Z2 action it breaks functoriality; the decorations differ
+    flag, z2, z3 = Monoid.flag(), Monoid.cyclic(2), Monoid.cyclic(3)
+    dec = decorate(delooping(flag), suspend(monoidal_delooping(z3)))
+    g_path = _write(tmp_path, "g.json", z2)
+    a_path = _write(tmp_path, "a.json", z3)
+    phi_path = _write(tmp_path, "phi.json", constant_precosheaf(dec))
+    assert run(["adjunction", g_path, a_path, phi_path]) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL  input-kinds: {phi_path} is not a precosheaf over" in captured.out
+    assert "action-functoriality" not in captured.out
 
 
 def _semidirect_lift_obj():
