@@ -151,6 +151,8 @@ def loads(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError("parse-error", f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # nesting or an integer too large to parse
+        raise StructureError("parse-error", str(exc))
     if not isinstance(obj, dict):
         raise StructureError("parse-error", "top level must be an object")
     return from_obj(obj)

@@ -1,5 +1,7 @@
 import pytest
 
+import doublelift.adjoint
+import doublelift.doublecat
 from doublelift.adjoint import (
     check_triangle_identities,
     enumerate_precosheaf_maps,
@@ -95,3 +97,22 @@ def test_triangle_identities_over_the_full_grid():
 def test_triangle_checker_rejects_non_groups():
     with pytest.raises(StructureError, match="not-a-group"):
         check_triangle_identities(Monoid.flag(), Monoid.cyclic(3), [])
+
+
+def test_triangle_check_lifts_and_checks_each_action_once(monkeypatch):
+    calls = {"lift_data": 0, "check_double_axioms": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(doublelift.adjoint, "lift_data")
+    counted(doublelift.doublecat, "check_double_axioms")
+    z2, z5 = Monoid.cyclic(2), Monoid.cyclic(5)
+    actions = [MonoidAction.trivial(z2, z5), MonoidAction.inversion(z5)]
+    assert check_triangle_identities(z2, z5, actions).passed
+    assert calls == {"lift_data": 2, "check_double_axioms": 2}

@@ -9,6 +9,11 @@ maps were taken from the globular monoid's endomorphisms:
 - lift_functor lifted the source and target of its map itself.
 
 The oracle enumeration also writes the naturality square out itself.
+The oracle triangle check is the loop as it was before it built each
+comparison functor from the lift it already holds: it calls pi_functor,
+which extracts and lifts again, and compares the naturality squares as
+composite double functors.  Both give the same report entries, in the
+same order, for every action family below.
 The current code enumerates monoid endomorphisms only, reads every
 one-object pre-cosheaf with single_object_precosheaf, and takes the two
 lifts from its caller.  Both must give the same maps in the same order,
@@ -22,7 +27,14 @@ import itertools
 
 import pytest
 
-from doublelift.adjoint import enumerate_precosheaf_maps, extract_phi
+from doublelift.adjoint import (
+    _globular_map,
+    check_triangle_identities,
+    enumerate_precosheaf_maps,
+    extract_phi,
+    group_decoration,
+    pi_functor,
+)
 from doublelift.analysis import gamma_data
 from doublelift.doublecat import DoubleFunctor, decorated_horizontalization, globular_squares
 from doublelift.errors import StructureError
@@ -110,6 +122,42 @@ def oracle_lift_functor(eta):
     return df
 
 
+def oracle_triangle_entries(g, a, actions):
+    dec = group_decoration(g, a)
+    entries = []
+    lifts = []
+    for i, action in enumerate(actions):
+        phi = precosheaf_from_action(dec, action)
+        ld = lift_data(dec, phi)
+
+        recovered = extract_phi(ld.dc)
+        ok = recovered == phi
+        entries.append((f"round-trip[{i}]", ok, "extract_phi(lift) == phi"))
+
+        pi = pi_functor(ld.dc)
+        lifts.append((ld, pi, recovered))
+        ident1 = tuple(range(ld.dc.c1.n_morphisms))
+        ok = pi.f1.morphism_map == ident1 and pi.f1.object_map == (0,)
+        entries.append((f"pi-identity[{i}]", ok, "pi on a lift is the identity"))
+
+        eta = _globular_map(pi, ld.dc, ld.dc, recovered, recovered)
+        ident2 = {x: x for x in range(dec.bicat.n2)}
+        ok = eta.comp2[0] == ident2
+        entries.append((f"phi-of-pi-identity[{i}]", ok, "extracted map of pi is the identity"))
+
+    for i, (ld1, pi1, phi1) in enumerate(lifts):
+        for j, (ld2, pi2, phi2) in enumerate(lifts):
+            for k, eta in enumerate(enumerate_precosheaf_maps(ld1.phi, ld2.phi)):
+                f = lift_functor(eta, ld1, ld2)
+                lhs = f.compose(pi1)
+                back = _globular_map(f, ld1.dc, ld2.dc, phi1, phi2)
+                rhs = pi2.compose(lift_functor(back, ld1, ld2))
+                ok = lhs.f1.morphism_map == rhs.f1.morphism_map
+                entries.append((f"naturality[{i},{j},{k}]", ok,
+                                "comparison commutes with lifted maps"))
+    return tuple(entries)
+
+
 def _klein_four():
     return Monoid(tuple(tuple(x ^ y for y in range(4)) for x in range(4)), 0)
 
@@ -176,3 +224,16 @@ def test_lift_functor_rejects_lifts_of_other_precosheaves(lift_families):
         lift_functor(eta, lds[0], lds[1])
     with pytest.raises(StructureError, match="wiring"):
         lift_functor(eta, lds[1], lds[0])
+
+
+@pytest.mark.parametrize("gname", ACTING)
+def test_triangle_entries_match_the_oracle(gname):
+    g = ACTING[gname]
+    for aname, a in TARGETS.items():
+        actions = enumerate_actions(g, a)
+        got = _outcome(lambda acts: check_triangle_identities(g, a, acts).entries, actions)
+        assert got == _outcome(lambda acts: oracle_triangle_entries(g, a, acts), actions), aname
+        if gname == "flag":
+            assert got == ("raised", "not-a-group"), aname
+        else:
+            assert got[0] == "value" and all(ok for _, ok, _ in got[1]), aname

@@ -51,6 +51,16 @@ def test_parse_error_reports_location():
         loads('{"kind": "widget"}')
 
 
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, "1" * 5000],
+                         ids=["deep-nesting", "5000-digit-integer"])
+def test_cli_check_reports_unparsable_json_as_a_parse_error(tmp_path, capsys, text):
+    # the json module raises RecursionError and ValueError here, not JSONDecodeError
+    path = tmp_path / "unparsable.json"
+    path.write_text(text)
+    assert run(["check", str(path)]) == 1
+    assert "FAIL  load: parse-error: " in capsys.readouterr().out
+
+
 def test_corrupted_file_fails_with_a_named_law():
     z3 = Monoid.cyclic(3)
     obj = json.loads(dumps(z3))
