@@ -20,7 +20,7 @@ from .fincat import (
     monoidal_delooping,
     semidirect_product,
 )
-from .twocat import CellSplit, DecoratedBicategory, StrictBicategory, decorate, split_cells, suspend
+from .twocat import DecoratedBicategory, StrictBicategory, decorate, suspend
 from .grothendieck import (
     Precosheaf,
     TotalCategory,

@@ -5,9 +5,11 @@ named fixtures end to end.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 from . import serialize
 from .adjoint import check_triangle_identities, group_decoration
@@ -191,46 +193,159 @@ def cmd_example(args, report: Report) -> None:
         report.info("twist-isomorphism", "verified")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="doublelift",
-        description="Finite double categories lifted from decorated bicategories.",
-    )
-    parser.add_argument("--json", action="store_true", help="machine readable report")
-    sub = parser.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class Command:
+    """One subcommand of the command line: its handler, its help line, the
+    names of its positional arguments (with ``many`` the last one takes one
+    or more values), and its options as (short, long, metavar, help)
+    tuples, each storing one value under its long name."""
 
-    p = sub.add_parser("check", help="validate a structure file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
+    func: Callable[[SimpleNamespace, Report], None]
+    help: str
+    positionals: tuple[str, ...]
+    many: bool = False
+    options: tuple[tuple[str, str, str, str], ...] = ()
 
-    p = sub.add_parser("lift", help="lift a decorated bicategory along a precosheaf")
-    p.add_argument("dec")
-    p.add_argument("phi")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("analyze", help="globular generation and vertical length")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_analyze)
+COMMANDS = {
+    "check": Command(cmd_check, "validate a structure file", ("file",)),
+    "lift": Command(cmd_lift, "lift a decorated bicategory along a precosheaf", ("dec", "phi"),
+                    options=(("-o", "--output", "FILE", "write the lift to FILE, not stdout"),)),
+    "analyze": Command(cmd_analyze, "globular generation and vertical length", ("file",)),
+    "folding": Command(cmd_folding, "folding and cofolding search", ("file",)),
+    "adjunction": Command(cmd_adjunction, "triangle identity report",
+                          ("group", "commutative", "phis"), many=True),
+    "example": Command(cmd_example, "run a named fixture end to end", ("name",)),
+}
 
-    p = sub.add_parser("folding", help="folding and cofolding search")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_folding)
+_HELP_OPTION = ("-h, --help", "show this help message and exit")
 
-    p = sub.add_parser("adjunction", help="triangle identity report")
-    p.add_argument("group")
-    p.add_argument("commutative")
-    p.add_argument("phis", nargs="+")
-    p.set_defaults(func=cmd_adjunction)
 
-    p = sub.add_parser("example", help="run a named fixture end to end")
-    p.add_argument("name")
-    p.set_defaults(func=cmd_example)
-    return parser
+class ParseExit(Exception):
+    """Ends parsing early.  Its args are (status, text): status 0 with help
+    text for stdout, or 2 with a usage error for stderr."""
+
+
+def _usage(name: Optional[str]) -> str:
+    if name is None:
+        return "usage: doublelift [-h] [--json] {" + ",".join(COMMANDS) + "} ..."
+    cmd = COMMANDS[name]
+    words = ["usage: doublelift", name, "[-h]"]
+    words += [f"[{short} {metavar}]" for short, _, metavar, _ in cmd.options]
+    words += cmd.positionals
+    if cmd.many:
+        words.append(f"[{cmd.positionals[-1]} ...]")
+    return " ".join(words)
+
+
+def _table(title: str, rows) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([f"{title}:"] + [f"  {left:<{width}}{right}" for left, right in rows])
+
+
+def _help(name: Optional[str]) -> str:
+    if name is None:
+        blocks = [
+            "Finite double categories lifted from decorated bicategories.",
+            _table("commands", [(n, c.help) for n, c in COMMANDS.items()]),
+            _table("options", [_HELP_OPTION, ("--json", "machine readable report")]),
+        ]
+    else:
+        cmd = COMMANDS[name]
+        blocks = [cmd.help]
+        options = [(f"{short} {metavar}, {long} {metavar}", text)
+                   for short, long, metavar, text in cmd.options]
+        blocks.append(_table("options", [_HELP_OPTION] + options))
+    return "\n\n".join([_usage(name)] + blocks)
+
+
+def _error(name: Optional[str], message: str) -> ParseExit:
+    return ParseExit(2, f"{_usage(name)}\ndoublelift: error: {message}")
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read ``argv`` against ``COMMANDS``.
+
+    ``--json`` and ``-h`` go before the command name; the command's
+    positionals and options (and its own ``-h``) follow it, in any order.
+    An option's value follows it as the next argument, after ``=``, or, for
+    a short option, joined to it (``-oFILE``); the last one given wins.
+    Long options are not abbreviated.  A token that starts with ``-`` (other
+    than ``-`` itself) is an option, up to a ``--``, after which every
+    token is positional.  Help raises ``ParseExit`` with status 0, and a
+    usage error ``ParseExit`` with status 2: at once for an unknown command
+    or an option without its value, after reading every token for missing
+    or unrecognized arguments.
+    """
+    args = SimpleNamespace(json=False)
+    name: Optional[str] = None
+    pending: list[str] = []     # positionals still to fill, in order
+    extend = False              # positionals join the many-valued one until an option
+    unrecognized: list[str] = []
+    options_end = False
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        i += 1
+        if tok == "--" and not options_end:
+            options_end = True
+            continue
+        if options_end or tok == "-" or not tok.startswith("-"):
+            if name is None:
+                if tok not in COMMANDS:
+                    raise _error(None, f"invalid command {tok!r} (choose from {', '.join(COMMANDS)})")
+                name, cmd = tok, COMMANDS[tok]
+                args.command, args.func = tok, cmd.func
+                for _, long, _, _ in cmd.options:
+                    setattr(args, long[2:], None)
+                pending = list(cmd.positionals)
+            elif pending:
+                key = pending.pop(0)
+                extend = cmd.many and not pending
+                setattr(args, key, [tok] if extend else tok)
+            elif extend:
+                getattr(args, cmd.positionals[-1]).append(tok)
+            else:
+                unrecognized.append(tok)
+            continue
+        extend = False
+        flags = ("-h", "--help") if name else ("-h", "--help", "--json")
+        valued = {opt: long[2:] for short, long, _, _ in cmd.options
+                  for opt in (short, long)} if name else {}
+        key, sep, value = tok.partition("=")
+        if key not in flags and key not in valued and not tok.startswith("--"):
+            key, sep, value = tok[:2], "=", tok[2:]     # a short option joined to its value
+        if key in flags:
+            if sep:
+                raise _error(name, f"option {key} takes no value")
+            if key != "--json":
+                raise ParseExit(0, _help(name))
+            args.json = True
+        elif key not in valued:
+            unrecognized.append(tok)
+        elif sep:
+            setattr(args, valued[key], value)
+        elif i < len(argv) and (argv[i] == "-" or not argv[i].startswith("-")):
+            setattr(args, valued[key], argv[i])
+            i += 1
+        else:
+            raise _error(name, f"option {key} expects a value")
+    if name is None:
+        raise _error(None, "a command is required")
+    if pending:
+        raise _error(name, "the following arguments are required: " + ", ".join(pending))
+    if unrecognized:
+        raise _error(name, "unrecognized arguments: " + " ".join(unrecognized))
+    return args
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ParseExit as exc:
+        status, text = exc.args
+        print(text, file=sys.stderr if status else sys.stdout)
+        return status
     report = Report()
     try:
         args.func(args, report)

@@ -215,6 +215,11 @@ def horizontalization(c: DoubleCategory) -> StrictBicategory:
 
     2-cell identifiers are the globular squares in ascending square order;
     0-cells and 1-cells keep the identifiers of c0-objects and c1-objects.
+
+    Precondition: ``c`` passed ``check_double_axioms``, or is a closed
+    sub-structure of a double category that did.  The bicategory laws of
+    the result then follow from the double-category axioms, so it is built
+    without running them again.
     """
     glob = sorted(globular_squares(c))
     pos = {p: i for i, p in enumerate(glob)}
@@ -232,7 +237,7 @@ def horizontalization(c: DoubleCategory) -> StrictBicategory:
         c.c0.n_objects, tuple(c.left0(x) for x in range(c.c1.n_objects)),
         tuple(c.right0(x) for x in range(c.c1.n_objects)),
         v.dom, v.cod, tuple(c.hid.object_map), v.identity, dict(sorted(v.composition.items())),
-        hcomp1, hcomp2, names1=c.c1.object_names,
+        hcomp1, hcomp2, names1=c.c1.object_names, validate=False,
     )
 
 

@@ -1,5 +1,4 @@
-"""Finite strict bicategories (2-categories), decorations, and the
-endo / non-endo cell split.
+"""Finite strict bicategories (2-categories) and decorations.
 
 Conventions:
 
@@ -12,7 +11,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -23,7 +22,6 @@ from .fincat import (
     associativity_failure,
     interchange_failure,
     op_rows,
-    vertical_category,
 )
 
 
@@ -60,13 +58,15 @@ class StrictBicategory:
     hcomp2: Mapping[tuple[int, int], int]
     names1: Optional[tuple[str, ...]] = field(default=None, compare=False)
     names2: Optional[tuple[str, ...]] = field(default=None, compare=False)
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
         for attr in ("dom0", "cod0", "dom1", "cod1", "id1", "id2"):
             object.__setattr__(self, attr, tuple(getattr(self, attr)))
         for attr in ("vcomp", "hcomp1", "hcomp2"):
             object.__setattr__(self, attr, dict(getattr(self, attr)))
-        self._validate()
+        if validate:
+            self._validate()
 
     def _validate(self):
         n0, n1, n2 = self.n0, self.n1, self.n2
@@ -241,26 +241,3 @@ class DecoratedBicategory:
 
 def decorate(bstar: FiniteCategory, b: StrictBicategory) -> DecoratedBicategory:
     return DecoratedBicategory(bstar, b)
-
-
-@dataclass(frozen=True)
-class CellSplit:
-    """Partition of the 1-cells into endo part and the rest, each made into
-    a category under vertical composition."""
-
-    endo_part: FiniteCategory
-    rest_part: FiniteCategory
-    endo_objects: tuple[int, ...]      # endo_part object -> 1-cell
-    endo_morphisms: tuple[int, ...]    # endo_part morphism -> 2-cell
-    rest_objects: tuple[int, ...]
-    rest_morphisms: tuple[int, ...]
-
-
-def split_cells(b: StrictBicategory) -> CellSplit:
-    def part(endo: bool):
-        cells1 = tuple(x for x in range(b.n1) if b.is_endo_1cell(x) == endo)
-        cells2 = tuple(p for p in range(b.n2) if b.is_endo_1cell(b.dom1[p]) == endo)
-        return vertical_category(b, cells1, cells2), cells1, cells2
-
-    (endo_cat, endo_obj, endo_mor), (rest_cat, rest_obj, rest_mor) = part(True), part(False)
-    return CellSplit(endo_cat, rest_cat, endo_obj, endo_mor, rest_obj, rest_mor)

@@ -67,6 +67,23 @@ def test_horizontalization_is_identifier_exact(corpus_lifts):
         assert dec.decoration == ld.dec.decoration, tag
 
 
+def test_horizontalization_equals_a_validated_rebuild(corpus_lifts):
+    # horizontalization skips the bicategory laws; rebuilding its tables
+    # through the checking constructor must accept them and give the same
+    # bicategory, on the lifts and on their closed gamma parts
+    from dataclasses import fields
+
+    from doublelift.analysis import gamma
+    from doublelift.twocat import StrictBicategory
+
+    for tag, ld in corpus_lifts:
+        for dc in (ld.dc, gamma(ld.dc)):
+            b = horizontalization(dc)
+            rebuilt = StrictBicategory(*(getattr(b, f.name) for f in fields(b)))
+            assert b == rebuilt, tag
+            assert (b.names1, b.names2) == (rebuilt.names1, rebuilt.names2), tag
+
+
 def test_trivial_double_category_over_a_delooping():
     dc = trivial_double_category(delooping(Monoid.cyclic(4)))
     assert dc.c1.n_objects == 1

@@ -355,3 +355,57 @@ def test_cli_reports_a_file_that_is_not_utf8_as_a_parse_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL  parse-error: not UTF-8" in captured.out
     assert "first failing law: parse-error" in captured.err
+
+
+def test_cli_lift_validates_the_input_bicategory_only(tmp_path, capsys, monkeypatch):
+    # loading the decorated bicategory and the pre-cosheaf (which carries
+    # its own copy) checks the bicategory laws twice; the lift's
+    # horizontalization is not checked again
+    from doublelift.examples import fixture_by_name
+    from doublelift.twocat import StrictBicategory
+
+    fx = fixture_by_name("semidirect:z3:z2:inv")
+    dec_path = _write(tmp_path, "dec.json", fx.dec)
+    phi_path = _write(tmp_path, "phi.json", fx.phi)
+    calls = []
+    validate = StrictBicategory._validate
+    monkeypatch.setattr(StrictBicategory, "_validate", lambda self: calls.append(1) or validate(self))
+    assert run(["lift", dec_path, phi_path, "-o", str(tmp_path / "dc.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--json"], ["bogus", "x"], ["check"], ["check", "a", "b"], ["check", "--json", "a"],
+    ["adjunction", "g", "a"], ["lift", "a", "b", "-o"], ["--js", "check", "a"],
+    ["lift", "a", "b", "--out", "c"],
+])
+def test_cli_usage_errors_exit_2_with_usage_on_stderr(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: doublelift")
+    assert error.startswith("doublelift: error: ")
+
+
+def test_cli_help_lists_every_command(capsys):
+    assert run(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: doublelift [-h] [--json] ")
+    for name in ("check", "lift", "analyze", "folding", "adjunction", "example"):
+        assert f"\n  {name} " in out
+    assert run(["lift", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: doublelift lift [-h] [-o FILE] dec phi\n")
+    assert "-o FILE, --output FILE" in out
+
+
+def test_cli_option_values_and_double_dash():
+    from doublelift.cli import cmd_lift, parse_args
+
+    args = parse_args(["--json", "lift", "-oa", "d", "--output=b", "p", "-o", "c"])
+    assert vars(args) == {"json": True, "command": "lift", "func": cmd_lift,
+                          "dec": "d", "phi": "p", "output": "c"}
+    assert parse_args(["lift", "-o", "-", "--", "-d", "-p"]).dec == "-d"
+    assert parse_args(["adjunction", "g", "a", "p", "--", "q"]).phis == ["p", "q"]

@@ -1,14 +1,39 @@
+from dataclasses import dataclass
+
 import pytest
 
 from doublelift.errors import StructureError
-from doublelift.fincat import FiniteCategory, Monoid, delooping, monoidal_delooping
-from doublelift.twocat import (
-    DecoratedBicategory,
-    StrictBicategory,
-    decorate,
-    split_cells,
-    suspend,
+from doublelift.fincat import (
+    FiniteCategory,
+    Monoid,
+    delooping,
+    monoidal_delooping,
+    vertical_category,
 )
+from doublelift.twocat import DecoratedBicategory, StrictBicategory, decorate, suspend
+
+
+@dataclass(frozen=True)
+class CellSplit:
+    """Partition of the 1-cells into endo part and the rest, each made into
+    a category under vertical composition."""
+
+    endo_part: FiniteCategory
+    rest_part: FiniteCategory
+    endo_objects: tuple[int, ...]      # endo_part object -> 1-cell
+    endo_morphisms: tuple[int, ...]    # endo_part morphism -> 2-cell
+    rest_objects: tuple[int, ...]
+    rest_morphisms: tuple[int, ...]
+
+
+def split_cells(b: StrictBicategory) -> CellSplit:
+    def part(endo: bool):
+        cells1 = tuple(x for x in range(b.n1) if b.is_endo_1cell(x) == endo)
+        cells2 = tuple(p for p in range(b.n2) if b.is_endo_1cell(b.dom1[p]) == endo)
+        return vertical_category(b, cells1, cells2), cells1, cells2
+
+    (endo_cat, endo_obj, endo_mor), (rest_cat, rest_obj, rest_mor) = part(True), part(False)
+    return CellSplit(endo_cat, rest_cat, endo_obj, endo_mor, rest_obj, rest_mor)
 
 
 def test_suspension_of_a_monoidal_delooping():
