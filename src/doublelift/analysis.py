@@ -1,19 +1,20 @@
 """Structural analysis of double categories: the globularily generated part,
 the vertical length chain, membership of squares in the first chain level,
-and the folding search for single-object lifts, which also decides
-cofoldings: over the commutative globular monoids accepted here the two
-laws coincide.
+and the foldings of single-object lifts, which also decide cofoldings:
+over the commutative globular monoids accepted here the two laws
+coincide.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .doublecat import DoubleCategory, HKey, decorated_horizontalization, globular_squares
 from .errors import StructureError
-from .fincat import FiniteCategory, FunctorData, Monoid, endomorphism_monoid_of_object, monoid_automorphisms
+from .fincat import FiniteCategory, FunctorData, Monoid, endomorphism_monoid_of_object, monoid_homomorphisms
 from .grothendieck import Precosheaf
 from .lift import LiftData, lift_data
 from .twocat import DecoratedBicategory
@@ -232,71 +233,11 @@ def single_object_monoids(dec: DecoratedBicategory) -> tuple[Monoid, Monoid]:
     return m, a
 
 
-def _vertical_failure(m: Monoid, a: Monoid, phi: Precosheaf, lams, pairs):
-    """The first (m2, m1, y2, y1) over the given pairs of vertical morphisms
-    at which the vertical law
-    ``lams[m2 m1][y2 * phi(m2)(y1)] == lams[m2][y2] * lams[m1][y1]`` fails,
-    or None.  A cofolding swaps the two images on the right, which over a
-    commutative globular monoid is the same law."""
-    for m2, m1 in pairs:
-        lamc, lam2, lam1, act = lams[m.mul(m2, m1)], lams[m2], lams[m1], phi.on_cells2[m2]
-        for y2 in range(a.size):
-            for y1 in range(a.size):
-                if lamc[a.mul(y2, act[y1])] != a.mul(lam2[y2], lam1[y1]):
-                    return (m2, m1, y2, y1)
-    return None
-
-
-def _folding_search(ld: LiftData):
-    m, a = single_object_monoids(ld.dec)
-    autos = monoid_automorphisms(a)
-    # the identity vertical morphism is pinned to the identity bijection
-    order = [x for x in range(m.size) if x != m.unit]
-    assignment: dict[int, tuple[int, ...]] = {m.unit: tuple(range(a.size))}
-    # the pairs whose vertical law can first be checked once order[k] is
-    # assigned: all three of m2, m1, m2 m1 assigned, order[k] among them;
-    # the others were checked one level up, and (unit, unit) holds because
-    # the unit of a pre-cosheaf acts as the identity
-    new_pairs = []
-    for k, x in enumerate(order):
-        done = {m.unit, *order[:k + 1]}
-        new_pairs.append([(m2, m1) for m2 in done for m1 in done
-                          if m.mul(m2, m1) in done and x in (m2, m1, m.mul(m2, m1))])
-    limit = _search_limit()
-    nodes = 0
-
-    def extend(k: int):
-        nonlocal nodes
-        if k == len(order):
-            return dict(assignment)
-        for lam in autos:
-            nodes += 1
-            if nodes > limit:
-                raise _Budget()
-            assignment[order[k]] = lam
-            if _vertical_failure(m, a, ld.phi, assignment, new_pairs[k]) is None:
-                found = extend(k + 1)
-                if found is not None:
-                    return found
-            del assignment[order[k]]
-        return None
-
-    class _Budget(Exception):
-        pass
-
-    try:
-        found = extend(0)
-    except _Budget:
-        return SearchCertificate(False, nodes, limit)
-    if found is None:
-        return SearchCertificate(True, nodes, limit)
-    return Folding(tuple(found[x] for x in range(m.size)))
-
-
 def validate_folding(ld: LiftData, fold: Folding) -> None:
-    """Re-check the folding laws by exhaustive enumeration.  A cofolding is
-    checked against the same laws, since the two coincide over the
-    commutative globular monoids accepted here."""
+    """Re-check the folding laws by exhaustive enumeration.  The vertical
+    law is ``lams[m2 m1][y2 * phi(m2)(y1)] == lams[m2][y2] * lams[m1][y1]``.
+    A cofolding swaps the two images on the right, which over the
+    commutative globular monoids accepted here is the same law."""
     m, a = single_object_monoids(ld.dec)
     lams = fold.payload_maps
     if len(lams) != m.size:
@@ -312,20 +253,43 @@ def validate_folding(ld: LiftData, fold: Folding) -> None:
             for y2 in range(a.size):
                 if lams[x][a.mul(y1, y2)] != a.mul(lams[x][y1], lams[x][y2]):
                     raise StructureError("folding-horizontal", f"({x}, {y1}, {y2})")
-    failure = _vertical_failure(m, a, ld.phi, lams,
-                                [(m2, m1) for m2 in range(m.size) for m1 in range(m.size)])
-    if failure is not None:
-        raise StructureError("folding-vertical", "({}, {}, {}, {})".format(*failure))
+    for m2 in range(m.size):
+        for m1 in range(m.size):
+            lamc, lam2, lam1, act = lams[m.mul(m2, m1)], lams[m2], lams[m1], ld.phi.on_cells2[m2]
+            for y2 in range(a.size):
+                for y1 in range(a.size):
+                    if lamc[a.mul(y2, act[y1])] != a.mul(lam2[y2], lam1[y1]):
+                        raise StructureError("folding-vertical", f"({m2}, {m1}, {y2}, {y1})")
 
 
 def find_folding(ld: LiftData):
-    """Backtracking search for a folding.  Candidates for each bijection are
-    the automorphisms of the globular monoid (horizontal compatibility
-    forces a monoid endomorphism, bijectivity an automorphism)."""
-    result = _folding_search(ld)
-    if isinstance(result, Folding):
-        validate_folding(ld, result)
-    return result
+    """The folding, re-checked by ``validate_folding``, or the certificate
+    that a backtracking search over the automorphisms of A, one vertical
+    morphism at a time in ascending id order, would give.
+
+    The vertical law at (unit, x) and payload unit makes lams[x] the
+    identity, which is the first automorphism, and the law at (x, unit)
+    then makes x act trivially.  So the search spends one node per non-unit
+    morphism if all act trivially and finds the identity family; otherwise
+    it proves absence in |Aut(A)| (k + 1) nodes, k the position of the
+    first nontrivial one.  Automorphisms are counted only in that case,
+    and only until the count exceeds the budget."""
+    m, a = single_object_monoids(ld.dec)
+    limit = _search_limit()
+    order = [x for x in range(m.size) if x != m.unit]
+    k = next((i for i, x in enumerate(order)
+              if any(ld.phi.on_cells2[x][y] != y for y in range(a.size))), None)
+    if k is None:
+        if len(order) <= limit:
+            fold = Folding((tuple(range(a.size)),) * m.size)
+            validate_folding(ld, fold)
+            return fold
+        return SearchCertificate(False, limit + 1, limit)
+    autos = (f for f in monoid_homomorphisms(a, a.table, a.unit) if len(set(f)) == a.size)
+    nodes = (k + 1) * sum(1 for _ in itertools.islice(autos, limit // (k + 1) + 1))
+    if nodes <= limit:
+        return SearchCertificate(True, nodes, limit)
+    return SearchCertificate(False, limit + 1, limit)
 
 
 def find_cofolding(ld: LiftData):
@@ -338,8 +302,8 @@ def find_cofolding(ld: LiftData):
 
 def framed_flag(ld: LiftData) -> Optional[bool]:
     """True when both a folding and a cofolding exist, False when they are
-    proven absent, None when the search was inconclusive.  One search
-    decides both, since a cofolding is a folding here."""
+    proven absent, None when the budget was exceeded.  One answer decides
+    both, since a cofolding is a folding here."""
     result = find_folding(ld)
     if isinstance(result, Folding):
         return True

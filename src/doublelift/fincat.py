@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from .errors import StructureError
 
@@ -265,35 +265,51 @@ def cayley_tree(m: Monoid) -> tuple[list[int], list[tuple[int, int, int]]]:
     return gens, tree
 
 
-def monoid_homomorphisms(source: Monoid, table, unit: int) -> list[tuple[int, ...]]:
+def monoid_homomorphisms(source: Monoid, table, unit: int) -> Iterator[tuple[int, ...]]:
     """Every monoid homomorphism from ``source`` into the monoid with product
-    table ``table`` and unit ``unit``, in lexicographic order.
+    table ``table`` and unit ``unit``, lazily, in lexicographic order.
 
-    Only the images of the generators of ``cayley_tree(source)`` are tried,
-    in ``itertools.product`` order: each candidate is extended along the
-    tree, which pins the unit, and kept if it preserves every product.  That
-    is |target|^(number of generators) candidates: |target| for a cyclic
-    source on its own labels, but up to n^(n-1) for the endomorphisms of a
-    null monoid of size n, in which only the zero is a product of others.
-    Every id below a generator is generated by the generators before it, so
-    a homomorphism's values up to that generator follow from their images:
-    product order is lexicographic order.
+    The images of the generators of ``cayley_tree(source)`` are chosen depth
+    first in ``itertools.product`` order, and every other image is set along
+    the tree, which pins the unit.  Every id below a generator is generated
+    by the generators before it, so product order is lexicographic order.
+    Each product ``x * y`` is checked as soon as the images of x, y and x y
+    are set, which cuts only subtrees that hold no homomorphism.  At most
+    |target|^(number of generators) leaves are reached: |target| for a
+    cyclic source on its own labels.
     """
     gens, tree = cayley_tree(source)
     n, src = source.size, source.table
-    out = []
-    for images in itertools.product(range(len(table)), repeat=len(gens)):
-        img = [unit] * n
-        for z, y, k in tree:
-            img[z] = table[img[y]][images[k]]
-        if all(img[src[x][y]] == table[img[x]][img[y]] for x in range(n) for y in range(n)):
-            out.append(tuple(img))
-    return out
+    # fixed[x]: how many generator images fix the image of x along the tree
+    fixed = [0] * n
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in range(len(gens) + 1)]
+    for z, y, k in tree:
+        fixed[z] = max(fixed[y], k + 1)
+        steps[fixed[z]].append((z, y, k))
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(len(gens) + 1)]
+    for x in range(n):
+        for y in range(n):
+            checks[max(fixed[x], fixed[y], fixed[src[x][y]])].append((x, y, src[x][y]))
+    img, images = [unit] * n, [unit] * len(gens)
+
+    def extend(j: int):
+        if not all(img[xy] == table[img[x]][img[y]] for x, y, xy in checks[j]):
+            return
+        if j == len(gens):
+            yield tuple(img)
+            return
+        for g in range(len(table)):
+            images[j] = g
+            for z, y, k in steps[j + 1]:
+                img[z] = table[img[y]][images[k]]
+            yield from extend(j + 1)
+
+    yield from extend(0)
 
 
 def monoid_endomorphisms(m: Monoid) -> list[tuple[int, ...]]:
     """All endomorphisms of ``m``, in lexicographic order."""
-    return monoid_homomorphisms(m, m.table, m.unit)
+    return list(monoid_homomorphisms(m, m.table, m.unit))
 
 
 def monoid_automorphisms(m: Monoid) -> list[tuple[int, ...]]:

@@ -1,18 +1,19 @@
-"""Differential test of the folding search against the previous one.
+"""Differential test of the folding decision against a backtracking search.
 
 The oracle below is the search as it was written before the cofolding
 search was folded into the folding search: it re-checks the vertical law
 over every assigned pair at each node, and keeps a mirrored variant that
-swaps the two images on the right of that law.  The current search checks
-only the pairs that involve the morphism just assigned, and answers the
-cofolding and framed questions from the one folding search.  Both must
-visit the same nodes and find the same first folding, for every action of
-Z2, Z3 and the flag monoid on every commutative target of size at most 5,
-under several search budgets.
+swaps the two images on the right of that law.  The current code decides
+the question from the action and computes the search's node count in
+closed form, and answers the cofolding and framed questions from that one
+result.  Both must report the same node counts and the same folding, for
+every action of Z2, Z3 and the flag monoid on every commutative target of
+size at most 5, under several search budgets.
 """
 
 import pytest
 
+from doublelift import analysis, fincat
 from doublelift.analysis import (
     Folding,
     SearchCertificate,
@@ -24,7 +25,14 @@ from doublelift.analysis import (
     validate_folding,
 )
 from doublelift.errors import StructureError
-from doublelift.fincat import Monoid, delooping, enumerate_actions, monoid_automorphisms, monoidal_delooping
+from doublelift.fincat import (
+    Monoid,
+    MonoidAction,
+    delooping,
+    enumerate_actions,
+    monoid_automorphisms,
+    monoidal_delooping,
+)
 from doublelift.grothendieck import precosheaf_from_action
 from doublelift.lift import lift_data
 from doublelift.twocat import decorate, suspend
@@ -205,3 +213,74 @@ def test_validate_folding_matches_the_oracle_on_perturbed_families(search_lifts)
                         assert got == oracle_vertical_failure(ld, family), (tag, maps)
                         checked += got is not None
     assert checked > 0
+
+
+def _with_limit(monkeypatch, limit):
+    if limit is None:
+        monkeypatch.delenv("DOUBLELIFT_SEARCH_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", str(limit))
+
+
+def _lift(g, a, action_maps=None):
+    dec = decorate(delooping(g), suspend(monoidal_delooping(a)))
+    action = (MonoidAction.trivial(g, a) if action_maps is None
+              else MonoidAction(g, a, action_maps))
+    return lift_data(dec, precosheaf_from_action(dec, action))
+
+
+def test_the_node_count_matches_the_oracle_at_the_budget_edges(search_lifts, monkeypatch):
+    """An absence proven with ``count`` nodes stays proven under a budget of
+    exactly ``count`` and turns inconclusive, with limit + 1 nodes, one
+    below it."""
+    edges = 0
+    for tag, ld in search_lifts:
+        _with_limit(monkeypatch, None)
+        full = oracle_folding_search(ld, False)
+        if isinstance(full, Folding):
+            continue
+        count = full.nodes
+        for limit, want in ((count, SearchCertificate(True, count, count)),
+                            (count - 1, SearchCertificate(False, count, count - 1))):
+            _with_limit(monkeypatch, limit)
+            assert find_folding(ld) == oracle_folding_search(ld, False) == want, (tag, limit)
+            edges += 1
+    assert edges > 0
+
+
+def test_a_trivial_action_needs_one_node_per_non_unit_vertical_morphism(monkeypatch):
+    _with_limit(monkeypatch, 0)
+    ld = _lift(Monoid.cyclic(1), Monoid.cyclic(3))
+    assert find_folding(ld) == oracle_folding_search(ld, False) == Folding(((0, 1, 2),))
+    ld = _lift(Monoid.cyclic(3), Monoid.cyclic(2))
+    for limit in (0, 1):
+        _with_limit(monkeypatch, limit)
+        assert find_folding(ld) == oracle_folding_search(ld, False) == SearchCertificate(
+            False, limit + 1, limit)
+    _with_limit(monkeypatch, 2)
+    assert find_folding(ld) == oracle_folding_search(ld, False) == Folding(((0, 1),) * 3)
+
+
+def test_the_budget_bounds_the_automorphism_count(monkeypatch):
+    """Z2 swapping two non-zero elements of a null monoid of size 8 (720
+    automorphisms): under a budget of 1 node, at most 2 automorphisms are
+    drawn, enough to prove the budget exceeded."""
+    n = 8
+    null = Monoid(tuple(tuple(y if x == 0 else x if y == 0 else 1 for y in range(n))
+                        for x in range(n)), 0)
+    ld = _lift(Monoid.cyclic(2), null, (tuple(range(n)), (0, 1, 2, 3, 4, 5, 7, 6)))
+    drawn = 0
+    real = fincat.monoid_homomorphisms
+
+    def counting(*args):
+        nonlocal drawn
+        for f in real(*args):
+            drawn += len(set(f)) == len(f)
+            yield f
+
+    for module in (fincat, analysis):
+        if hasattr(module, "monoid_homomorphisms"):
+            monkeypatch.setattr(module, "monoid_homomorphisms", counting)
+    _with_limit(monkeypatch, 1)
+    assert find_folding(ld) == SearchCertificate(False, 2, 1)
+    assert drawn <= 2

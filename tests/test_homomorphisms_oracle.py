@@ -76,8 +76,12 @@ MONOIDS = {
     "flagxflag": _direct_product(FLAG, FLAG),
     "null4": _null(4),
     "null5": _null(5),
+    "null6": _null(6),
 }
 ACTING = {"z2": Z2, "z3": Monoid.cyclic(3), "flag": FLAG}
+# The brute force over actions tries |End(target)|^|acting| tuples of
+# endomorphisms, 626^3 for Z3 acting on null6, so it runs on the rest.
+ACTION_TARGETS = {k: m for k, m in MONOIDS.items() if k != "null6"}
 
 
 def _relabel(m: Monoid, perm) -> Monoid:
@@ -101,7 +105,7 @@ def test_endomorphisms_equal_the_brute_force_list(m):
     assert monoid_endomorphisms(m) == oracle_endomorphisms(m)
 
 
-@given(relabelled(ACTING), relabelled(MONOIDS))
+@given(relabelled(ACTING), relabelled(ACTION_TARGETS))
 def test_actions_equal_the_brute_force_list(acting, target):
     got = enumerate_actions(acting, target)
     assert [action.maps for action in got] == oracle_actions(acting, target)
