@@ -89,8 +89,12 @@ def gamma_data(c: DoubleCategory) -> GammaData:
     horizontal identity square, on all horizontal 1-cells.
 
     The closure steps are the levels of the vertical chain, which is
-    recorded along the way.  A closed sub-double category of a valid one
-    satisfies every law, so the result is checked for closure only."""
+    recorded along the way.  ``c`` must be a valid double category.  A
+    closed sub-double category of a valid one satisfies every law, so the
+    result is checked for closure only.  Its ``src`` and ``tgt`` are those of
+    ``c`` restricted to the closed square category, and its ``hid`` is that
+    of ``c`` with its image, which lies in the seed, renumbered; so all
+    three are functors and are not checked again."""
     seed = globular_squares(c) | set(c.hid.morphism_map)
     levels = [_vertical_closure(c, seed)]
     while True:
@@ -102,11 +106,11 @@ def gamma_data(c: DoubleCategory) -> GammaData:
     square_ids = tuple(sorted(levels[-1]))
     pos = {p: i for i, p in enumerate(square_ids)}
     src = FunctorData(c1, c.c0, c.src.object_map,
-                      tuple(c.src.morphism_map[p] for p in square_ids))
+                      tuple(c.src.morphism_map[p] for p in square_ids), validate=False)
     tgt = FunctorData(c1, c.c0, c.tgt.object_map,
-                      tuple(c.tgt.morphism_map[p] for p in square_ids))
+                      tuple(c.tgt.morphism_map[p] for p in square_ids), validate=False)
     hid = FunctorData(c.c0, c1, c.hid.object_map,
-                      tuple(pos[p] for p in c.hid.morphism_map))
+                      tuple(pos[p] for p in c.hid.morphism_map), validate=False)
     hcomp: dict[HKey, int] = {}
     for (kind, u, v), w in c.hcomp.items():
         if kind == "ob":

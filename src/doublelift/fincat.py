@@ -86,10 +86,15 @@ class Monoid:
     table: tuple[tuple[int, ...], ...]
     unit: int = 0
     names: Optional[tuple[str, ...]] = field(default=None, compare=False)
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
-        table = tuple(tuple(row) for row in self.table)
-        object.__setattr__(self, "table", table)
+    def __post_init__(self, validate: bool):
+        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
+        if validate:
+            self._validate()
+
+    def _validate(self):
+        table = self.table
         n, unit = len(table), self.unit
         if not 0 <= unit < n:
             raise StructureError("unit-range", f"unit {unit} outside [0, {n})")
@@ -444,13 +449,19 @@ def delooping(m: Monoid) -> FiniteCategory:
 
 
 def endomorphism_monoid_of_object(cat: FiniteCategory, obj: int) -> tuple[Monoid, tuple[int, ...]]:
-    """The endomorphism monoid of ``obj`` plus the morphism id of each element."""
+    """The endomorphism monoid of ``obj`` plus the morphism id of each element.
+
+    ``cat`` must satisfy the category laws (it has passed them, or was cut
+    out of a category that has).  The monoid's unit and associativity laws
+    are then those of ``cat`` on the endomorphisms of ``obj``, so they are
+    not checked again.
+    """
     elements = tuple(cat.hom(obj, obj))
     pos = {f: i for i, f in enumerate(elements)}
     table = tuple(
         tuple(pos[cat.compose(x, y)] for y in elements) for x in elements
     )
-    return Monoid(table, pos[cat.identity[obj]]), elements
+    return Monoid(table, pos[cat.identity[obj]], validate=False), elements
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +474,15 @@ class FunctorData:
     target: FiniteCategory
     object_map: tuple[int, ...]
     morphism_map: tuple[int, ...]
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
         object.__setattr__(self, "object_map", tuple(self.object_map))
         object.__setattr__(self, "morphism_map", tuple(self.morphism_map))
+        if validate:
+            self._validate()
+
+    def _validate(self):
         source, target, omap, mmap = self.source, self.target, self.object_map, self.morphism_map
         if len(omap) != source.n_objects or len(mmap) != source.n_morphisms:
             raise StructureError("map-shape", "object/morphism map length mismatch")

@@ -6,12 +6,16 @@ lexicographically, and dumps always emits sorted keys, so the canonical
 form of a value is unique and round-trips byte for byte.
 
 ``KINDS`` declares each kind's class and fields once; writing, the schema
-check and reading all follow it.
+check and reading all follow it.  ``dumps`` writes the text itself, in the
+layout of ``json.dumps(obj, sort_keys=True, indent=2)``: every row of a
+table is one %-template, and every string goes through json's C escaper.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from operator import add
 from typing import Any
 
 from .doublecat import DoubleCategory
@@ -52,33 +56,62 @@ KINDS = {
 }
 
 
-def _encode(value, shape):
+def _list(items, ind: str) -> str:
+    """A JSON array of items already written, its brackets at indent ``ind``."""
+    inner = ind + "  "
+    body = (",\n" + inner).join(items)
+    return "[\n" + inner + body + "\n" + ind + "]" if body else "[]"
+
+
+def _rows(table: dict, row_shape: tuple, ind: str) -> str:
+    """A table keyed by a leaf or by a tuple of leaves, as its sorted
+    [key..., value] rows, each written by one %-template; str leaves are
+    encoded first."""
+    if len(row_shape) == 2:
+        rows = sorted(table.items())
+    else:
+        rows = sorted(map(add, table, zip(table.values())))
+    if str in row_shape and rows:
+        rows = zip(*(col if leaf is int else map(encode_basestring_ascii, col)
+                     for leaf, col in zip(row_shape, zip(*rows))))
+    row = _list(["%d" if leaf is int else "%s" for leaf in row_shape], ind + "  ")
+    return _list(map(row.__mod__, rows), ind)
+
+
+_LEAF = {int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _write(value, shape, ind: str) -> str:
+    """The canonical JSON of a value of the given field shape, its first
+    line at indent ``ind``."""
     if isinstance(shape, str):
-        return to_obj(value)
-    if shape is TABLE:
-        return sorted([a, b, v] for (a, b), v in value.items())
-    if shape is MAPPING:
-        return sorted([k, v] for k, v in value.items())
+        return _object(value, ind)
+    if shape in (int, str):
+        return _LEAF[shape](value)
+    inner = ind + "  "
     if shape is FUNCTOR:
-        return [list(value.object_map), list(value.morphism_map)]
-    if shape is HCOMP:
-        return sorted([kind, u, v, w] for (kind, u, v), w in value.items())
-    if shape in ([int], NAMES):
-        return list(value)
-    if isinstance(shape, list):
-        return [_encode(x, shape[0]) for x in value]
-    return value
+        return _list((_write(value.object_map, [int], inner),
+                      _write(value.morphism_map, [int], inner)), ind)
+    item = shape[0]
+    if isinstance(item, tuple):
+        return _rows(value, item, ind)
+    if item in (int, str):
+        return _list(map(_LEAF[item], value), ind)
+    return _list([_write(x, item, inner) for x in value], ind)
 
 
-def to_obj(value) -> dict[str, Any]:
+def _object(value, ind: str) -> str:
+    """The canonical JSON of a structure of any kind in ``KINDS``."""
     for kind, (cls, fields) in KINDS.items():
         if isinstance(value, cls):
-            out: dict[str, Any] = {"kind": kind}
+            inner = ind + "  "
+            out = {"kind": encode_basestring_ascii(kind)}
             for key, shape in fields.items():
                 field = getattr(value, key)
                 if shape is not NAMES or field:
-                    out[key] = _encode(field, shape)
-            return out
+                    out[key] = _write(field, shape, inner)
+            return "{\n" + inner + (",\n" + inner).join(
+                map('"%s": %s'.__mod__, sorted(out.items()))) + "\n" + ind + "}"
     raise StructureError("unknown-kind", type(value).__name__)
 
 
@@ -143,7 +176,7 @@ def from_obj(obj: dict[str, Any]):
 
 
 def dumps(value) -> str:
-    return json.dumps(to_obj(value), sort_keys=True, indent=2) + "\n"
+    return _object(value, "") + "\n"
 
 
 def loads(text: str):

@@ -18,7 +18,7 @@ from doublelift.analysis import (
 )
 from doublelift.doublecat import trivial_double_category
 from doublelift.errors import StructureError
-from doublelift.fincat import Monoid, MonoidAction, delooping, monoidal_delooping
+from doublelift.fincat import FunctorData, Monoid, MonoidAction, delooping, monoidal_delooping
 from doublelift.grothendieck import precosheaf_from_action
 from doublelift.lift import lift_data
 from doublelift.twocat import decorate, suspend
@@ -217,3 +217,12 @@ def test_validate_folding_rejects_a_family_of_the_wrong_length():
     ld = _lift(z3, z2, MonoidAction.trivial(z2, z3))
     with pytest.raises(StructureError, match="folding-shape"):
         validate_folding(ld, Folding(((0, 1, 2),)))
+
+
+def test_gamma_frame_functors_equal_a_validated_rebuild(corpus_lifts):
+    # gamma_data skips the functor laws of the restricted src, tgt and hid;
+    # the checking constructor must accept each of them
+    for tag, ld in corpus_lifts:
+        dc = gamma_data(ld.dc).dc
+        for f in (dc.src, dc.tgt, dc.hid):
+            assert f == FunctorData(f.source, f.target, f.object_map, f.morphism_map), tag

@@ -134,6 +134,19 @@ def test_delooping_and_endomorphism_monoid_round_trip():
     assert back.table == z4.table
 
 
+def test_endomorphism_monoids_equal_a_validated_rebuild(corpus_lifts):
+    # endomorphism_monoid_of_object skips the monoid laws, which the category
+    # has already passed; the checking constructor must accept each table
+    for tag, ld in corpus_lifts:
+        for cat in (ld.dec.decoration, ld.ext.cat, ld.dc.c0, ld.dc.c1):
+            for obj in range(cat.n_objects):
+                m, _ = endomorphism_monoid_of_object(cat, obj)
+                assert m == Monoid(m.table, m.unit), (tag, obj)
+    with pytest.raises(StructureError, match="unit-law"):
+        Monoid(((1, 1), (1, 1)))
+    assert Monoid(((1, 1), (1, 1)), validate=False).table == ((1, 1), (1, 1))
+
+
 def test_category_validation_names_the_broken_law():
     z3 = Monoid.cyclic(3)
     cat = delooping(z3)
