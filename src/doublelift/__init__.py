@@ -15,7 +15,6 @@ from .fincat import (
     MonoidMorphism,
     StrictMonoidalCategory,
     delooping,
-    end_category,
     endomorphism_monoid_of_object,
     monoidal_delooping,
     semidirect_product,
@@ -38,7 +37,6 @@ from .doublecat import (
     decorated_horizontalization,
     globular_squares,
     horizontalization,
-    trivial_double_category,
 )
 from .lift import LiftData, PrecosheafMap, lift, lift_data, lift_functor
 from .analysis import (

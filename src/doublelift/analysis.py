@@ -219,7 +219,13 @@ class SearchCertificate:
 
 def single_object_monoids(dec: DecoratedBicategory) -> tuple[Monoid, Monoid]:
     """(M, A) for a one-object, one-1-cell decorated bicategory: the monoid
-    of decoration morphisms and the globular monoid of 2-cells."""
+    of decoration morphisms and the globular monoid of 2-cells.
+
+    ``dec.bicat`` must satisfy the bicategory laws (it has passed them, or
+    inherited them from a checked double category).  With one 1-cell, A's
+    table is its vertical composition, which those laws make total,
+    associative and unital, so A's laws are not checked again.
+    """
     b = dec.bicat
     bstar = dec.decoration
     if b.n0 != 1 or bstar.n_objects != 1:
@@ -232,7 +238,7 @@ def single_object_monoids(dec: DecoratedBicategory) -> tuple[Monoid, Monoid]:
     # composite of 2-cells equal to the horizontal one and commutative
     a = Monoid(
         tuple(tuple(b.vcomp[(x, y)] for y in range(b.n2)) for x in range(b.n2)),
-        b.id2[0],
+        b.id2[0], validate=False,
     )
     return m, a
 

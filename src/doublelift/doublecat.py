@@ -15,7 +15,7 @@ order, defined exactly when ``tgt(p) == src(q)``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Mapping, Optional
 
 from .errors import StructureError
@@ -109,9 +109,9 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
             return w
         return None
 
-    if c.src.source is not c1 and c.src.source != c1:
-        raise StructureError("wiring", "src is not a functor out of c1")
     for fun, name in ((c.src, "src"), (c.tgt, "tgt")):
+        if fun.source is not c1 and fun.source != c1:
+            raise StructureError("wiring", f"{name} is not a functor out of c1")
         if fun.target != c0:
             raise StructureError("wiring", f"{name} does not land in c0")
     if c.hid.source != c0 or c.hid.target != c1:
@@ -245,28 +245,6 @@ def decorated_horizontalization(c: DoubleCategory) -> DecoratedBicategory:
     return DecoratedBicategory(c.c0, horizontalization(c))
 
 
-def trivial_double_category(c0: FiniteCategory) -> DoubleCategory:
-    """The double category with only horizontal identity 1-cells over c0 and
-    only identity globular squares plus the hid-images of c0-morphisms."""
-    c1 = FiniteCategory(
-        c0.n_objects, c0.dom, c0.cod, c0.identity, dict(c0.composition),
-    )
-    ident = FunctorData.identity(c1)
-    src = FunctorData(c1, c0, ident.object_map, ident.morphism_map)
-    tgt = src
-    hid = FunctorData(c0, c1, tuple(range(c0.n_objects)), tuple(range(c0.n_morphisms)))
-    hcomp: dict[HKey, int] = {}
-    for x in range(c1.n_objects):
-        for y in range(c1.n_objects):
-            if x == y:
-                hcomp[("ob", x, y)] = x
-    for p in range(c1.n_morphisms):
-        # src(p) = tgt(p) = p here, so squares compose horizontally only
-        # with themselves
-        hcomp[("sq", p, p)] = p
-    return DoubleCategory(c1=c1, c0=c0, src=src, tgt=tgt, hid=hid, hcomp=hcomp)
-
-
 @dataclass(frozen=True)
 class DoubleFunctor:
     f0: FunctorData
@@ -299,14 +277,6 @@ class DoubleFunctor:
             else:
                 if self.f1.morphism_map[c.hsq(u, v)] != d.hsq(self.f1.morphism_map[u], self.f1.morphism_map[v]):
                     raise StructureError("double-functor-hcomp", f"squares ({u}, {v})")
-
-    @staticmethod
-    def identity(c: DoubleCategory) -> "DoubleFunctor":
-        return DoubleFunctor(FunctorData.identity(c.c0), FunctorData.identity(c.c1))
-
-    def compose(self, other: "DoubleFunctor") -> "DoubleFunctor":
-        """self after other."""
-        return DoubleFunctor(self.f0.compose(other.f0), self.f1.compose(other.f1))
 
 
 @dataclass(frozen=True)

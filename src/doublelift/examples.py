@@ -464,33 +464,3 @@ def fixture_by_name(name: str):
         return build_two_object_fixture()
     raise StructureError("unknown-fixture", name)
 
-
-def fixture_corpus() -> list[tuple[str, DecoratedBicategory, Precosheaf]]:
-    """The (dec, phi) pairs exercised by the law tests."""
-    z2, z3, z4 = Monoid.cyclic(2), Monoid.cyclic(3), Monoid.cyclic(4)
-    flag = Monoid.flag()
-    out = []
-
-    def semi(n, m, action, tag):
-        dec = decorate(delooping(m), suspend(monoidal_delooping(n)))
-        out.append((tag, dec, precosheaf_from_action(dec, action)))
-
-    semi(z3, z2, MonoidAction.inversion(z3), "semidirect:z3:z2:inv")
-    semi(z3, z2, MonoidAction.trivial(z2, z3), "semidirect:z3:z2:triv")
-    semi(z4, z2, MonoidAction.inversion(z4), "semidirect:z4:z2:inv")
-    semi(z2, z3, MonoidAction.trivial(z3, z2), "semidirect:z2:z3:triv")
-
-    for gm, hm, tag in ((z2, z3, "graded:z2:z3:inv"), (z2, z4, "graded:z2:z4:inv")):
-        dec = decorate(delooping(gm), suspend(graded_category(gm, hm)))
-        out.append((tag, dec, object_fixing_precosheaf(dec, gm, hm, MonoidAction.inversion(hm))))
-    dec = decorate(delooping(z2), suspend(graded_category(z2, z3)))
-    out.append(("graded:z2:z3:triv", dec,
-                object_fixing_precosheaf(dec, z2, z3, MonoidAction.trivial(z2, z3))))
-
-    decf = decorate(delooping(flag), suspend(monoidal_delooping(z3)))
-    out.append(("constant:flag:z3", decf, constant_precosheaf(decf)))
-    out.append(("identity:flag:z3", decf, identity_precosheaf(decf)))
-
-    two = build_two_object_fixture()
-    out.append(("twoobject", two.dec, two.phi))
-    return out

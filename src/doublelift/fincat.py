@@ -17,12 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import StructureError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .twocat import StrictBicategory
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +136,6 @@ class Monoid:
                 return y
         raise StructureError("not-invertible", f"element {x} has no inverse")
 
-    def element_order(self, x: int) -> int:
-        k, acc = 1, x
-        while acc != self.unit:
-            acc = self.table[acc][x]
-            k += 1
-            if k > self.size + 1:
-                return 0  # not of finite order through the unit (non-group monoid)
-        return k
-
     @staticmethod
     def cyclic(n: int) -> "Monoid":
         """Z_n written additively, unit 0."""
@@ -189,12 +177,6 @@ class MonoidMorphism:
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
-
-    def compose(self, other: "MonoidMorphism") -> "MonoidMorphism":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise StructureError("composition-mismatch", "morphism targets do not line up")
-        return MonoidMorphism(other.source, self.target, tuple(self.mapping[v] for v in other.mapping))
 
 
 @dataclass(frozen=True)
@@ -331,13 +313,6 @@ def enumerate_actions(acting: Monoid, target: Monoid) -> list[MonoidAction]:
             for hom in monoid_homomorphisms(acting, composites, index[tuple(range(target.size))])]
 
 
-def monoid_isomorphism(a: Monoid, b: Monoid) -> Optional[tuple[int, ...]]:
-    """The lexicographically first isomorphism a -> b, or None."""
-    if a.size != b.size:
-        return None
-    return next((f for f in monoid_homomorphisms(a, b.table, b.unit) if len(set(f)) == a.size), None)
-
-
 # ---------------------------------------------------------------------------
 # finite categories
 
@@ -431,13 +406,6 @@ class FiniteCategory:
             tuple(pos[i] for i in self.identity), comp, self.object_names, validate=False,
         )
 
-    @staticmethod
-    def discrete(n: int) -> "FiniteCategory":
-        return FiniteCategory(
-            n, tuple(range(n)), tuple(range(n)), tuple(range(n)),
-            {(i, i): i for i in range(n)},
-        )
-
 
 def delooping(m: Monoid) -> FiniteCategory:
     """The one-object category whose endomorphisms are ``m``."""
@@ -503,14 +471,6 @@ class FunctorData:
     @staticmethod
     def identity(cat: FiniteCategory) -> "FunctorData":
         return FunctorData(cat, cat, tuple(range(cat.n_objects)), tuple(range(cat.n_morphisms)))
-
-    def compose(self, other: "FunctorData") -> "FunctorData":
-        """self after other."""
-        return FunctorData(
-            other.source, self.target,
-            tuple(self.object_map[a] for a in other.object_map),
-            tuple(self.morphism_map[f] for f in other.morphism_map),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -611,50 +571,3 @@ def semidirect_product(n: Monoid, m: Monoid, action: MonoidAction) -> Monoid:
         names = tuple(f"({n.names[x]}, {m.names[y]})" for x in range(n.size) for y in range(m.size))
     return Monoid(tuple(tuple(row) for row in table), enc(n.unit, m.unit), names)
 
-
-# ---------------------------------------------------------------------------
-# endomorphism categories of bicategories
-
-
-@dataclass(frozen=True)
-class EndData:
-    """End_B(a) together with the bicategory cells its indices come from."""
-
-    cat: StrictMonoidalCategory
-    objects_as_cells1: tuple[int, ...]
-    morphisms_as_cells2: tuple[int, ...]
-
-
-def vertical_category(b: "StrictBicategory", cells1, cells2) -> FiniteCategory:
-    """The 1-cells ``cells1`` of ``b`` and the 2-cells ``cells2`` between
-    them under vertical composition, renumbered in the given orders."""
-    pos1 = {x: i for i, x in enumerate(cells1)}
-    pos2 = {p: i for i, p in enumerate(cells2)}
-    dom = tuple(pos1[b.dom1[p]] for p in cells2)
-    cod = tuple(pos1[b.cod1[p]] for p in cells2)
-    identity = tuple(pos2[b.id2[x]] for x in cells1)
-    comp = {(pos2[q], pos2[p]): pos2[r] for (q, p), r in b.vcomp.items() if q in pos2 and p in pos2}
-    return FiniteCategory(len(cells1), dom, cod, identity, comp)
-
-
-def end_data(b: "StrictBicategory", a: int) -> EndData:
-    if not (0 <= a < b.n0):
-        raise StructureError("unknown-cell", f"0-cell {a}")
-    cells1, cells2 = b.endo_cells[a]
-    base = vertical_category(b, cells1, cells2)
-    pos1 = {x: i for i, x in enumerate(cells1)}
-    pos2 = {p: i for i, p in enumerate(cells2)}
-    tensor_obj = {
-        (pos1[x], pos1[y]): pos1[b.hcomp1[(x, y)]] for x in cells1 for y in cells1
-    }
-    tensor_mor = {
-        (pos2[p], pos2[q]): pos2[b.hcomp2[(p, q)]] for p in cells2 for q in cells2
-    }
-    cat = StrictMonoidalCategory(base, pos1[b.id1[a]], tensor_obj, tensor_mor)
-    return EndData(cat, cells1, cells2)
-
-
-def end_category(b: "StrictBicategory", a: int) -> StrictMonoidalCategory:
-    """End_B(a): endo 1-cells at ``a`` under vertical composition, tensored
-    by horizontal composition."""
-    return end_data(b, a).cat

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import StructureError
-from .fincat import FiniteCategory, FunctorData, MonoidAction, end_data
+from .fincat import FiniteCategory, MonoidAction
 from .twocat import DecoratedBicategory, check_monoidal_map
 
 
@@ -45,24 +45,6 @@ class Precosheaf:
             comp2 = {p: self.on_cells2[g][v] for p, v in self.on_cells2[f].items()}
             if self.on_cells1[h] != comp1 or self.on_cells2[h] != comp2:
                 raise StructureError("precosheaf-functoriality", f"({g}, {f})")
-
-    # -- public accessors ----------------------------------------------------
-
-    def at(self, a: int):
-        """The fiber over object ``a``: End_B(a) as a strict monoidal category."""
-        return end_data(self.dec.bicat, a).cat
-
-    def action(self, f: int) -> FunctorData:
-        """The strict monoidal functor at decoration morphism ``f``, in the
-        dense indexing of the two end categories."""
-        bstar = self.dec.decoration
-        src = end_data(self.dec.bicat, bstar.dom[f])
-        tgt = end_data(self.dec.bicat, bstar.cod[f])
-        pos1 = {x: i for i, x in enumerate(tgt.objects_as_cells1)}
-        pos2 = {p: i for i, p in enumerate(tgt.morphisms_as_cells2)}
-        omap = tuple(pos1[self.on_cells1[f][x]] for x in src.objects_as_cells1)
-        mmap = tuple(pos2[self.on_cells2[f][p]] for p in src.morphisms_as_cells2)
-        return FunctorData(src.cat.base, tgt.cat.base, omap, mmap)
 
 
 def precosheaf_from_action(dec: DecoratedBicategory, action: MonoidAction) -> Precosheaf:

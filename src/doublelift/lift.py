@@ -15,11 +15,11 @@ from typing import Mapping
 from .doublecat import DoubleCategory, DoubleFunctor, HKey, Square, decorated_horizontalization
 from .errors import StructureError
 from .fincat import FunctorData
-from .grothendieck import ExtendedTotal, Precosheaf, constant_precosheaf, extended_total
+from .grothendieck import ExtendedTotal, Precosheaf, extended_total
 from .twocat import DecoratedBicategory, check_monoidal_map
 
 __all__ = [
-    "LiftData", "lift", "lift_data", "constant_precosheaf",
+    "LiftData", "lift", "lift_data",
     "PrecosheafMap", "lift_functor", "square_triple",
 ]
 

@@ -3,8 +3,9 @@ import os
 import pytest
 from hypothesis import settings
 
-from doublelift.examples import fixture_corpus
 from doublelift.lift import lift_data
+
+from support import fixture_corpus
 
 # HYPOTHESIS_PROFILE=ci runs the property tests that set no example count
 # of their own with ten times the default number of examples.

@@ -4,12 +4,9 @@ Run with -s to see the lines; each criterion is a separate test so a failure
 pinpoints the broken guarantee.
 """
 
-import json
 import time
 
-import pytest
-
-from doublelift.adjoint import check_triangle_identities, extract_phi
+from doublelift.adjoint import check_triangle_identities
 from doublelift.analysis import (
     Folding,
     SearchCertificate,
@@ -38,13 +35,13 @@ from doublelift.fincat import (
     StrictMonoidalCategory,
     delooping,
     enumerate_actions,
-    monoid_isomorphism,
     monoidal_delooping,
 )
-from doublelift.grothendieck import Precosheaf, precosheaf_from_action
-from doublelift.lift import lift_data
+from doublelift.grothendieck import Precosheaf
 from doublelift.serialize import dumps, loads
-from doublelift.twocat import StrictBicategory, decorate, suspend
+from doublelift.twocat import StrictBicategory
+
+from support import monoid_isomorphism
 
 
 def _line(n: int, ok: bool, text: str) -> None:

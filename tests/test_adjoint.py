@@ -10,17 +10,10 @@ from doublelift.adjoint import (
     phi_of_double_functor,
     pi_functor,
 )
-from doublelift.doublecat import trivial_double_category
 from doublelift.errors import StructureError
-from doublelift.fincat import Monoid, MonoidAction, delooping, enumerate_actions, monoidal_delooping
-from doublelift.grothendieck import precosheaf_from_action
-from doublelift.lift import lift_data
-from doublelift.twocat import decorate, suspend
+from doublelift.fincat import Monoid, MonoidAction, delooping, enumerate_actions
 
-
-def _lift(n, m, action):
-    dec = decorate(delooping(m), suspend(monoidal_delooping(n)))
-    return lift_data(dec, precosheaf_from_action(dec, action))
+from support import discrete, semidirect_lift, trivial_double_category
 
 
 def test_extract_phi_round_trips_on_lifts():
@@ -31,7 +24,7 @@ def test_extract_phi_round_trips_on_lifts():
         (z4, z2, MonoidAction.inversion(z4)),
         (z3, z3, MonoidAction.trivial(z3, z3)),
     ]:
-        ld = _lift(n, m, act)
+        ld = semidirect_lift(n, m, act)
         recovered = extract_phi(ld.dc)
         assert recovered.on_cells2 == ld.phi.on_cells2
 
@@ -39,7 +32,7 @@ def test_extract_phi_round_trips_on_lifts():
 def test_extracted_action_matches_the_input_action():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
     act = MonoidAction.inversion(z3)
-    ld = _lift(z3, z2, act)
+    ld = semidirect_lift(z3, z2, act)
     back = extracted_action(ld.dc)
     assert back.maps == act.maps
 
@@ -47,7 +40,7 @@ def test_extracted_action_matches_the_input_action():
 def test_extract_phi_rejects_monoid_decorations():
     flag = Monoid.flag()
     z3 = Monoid.cyclic(3)
-    ld = _lift(z3, flag, MonoidAction.trivial(flag, z3))
+    ld = semidirect_lift(z3, flag, MonoidAction.trivial(flag, z3))
     with pytest.raises(StructureError, match="not-a-group"):
         extract_phi(ld.dc)
 
@@ -55,15 +48,13 @@ def test_extract_phi_rejects_monoid_decorations():
 def test_extract_phi_rejects_multi_object_input():
     dc = trivial_double_category(delooping(Monoid.cyclic(2)))
     extract_phi(dc)  # single object, single 1-cell: fine
-    from doublelift.fincat import FiniteCategory
-
     with pytest.raises(StructureError, match="shape-mismatch"):
-        extract_phi(trivial_double_category(FiniteCategory.discrete(2)))
+        extract_phi(trivial_double_category(discrete(2)))
 
 
 def test_pi_functor_on_a_lift_is_the_identity():
     z2, z4 = Monoid.cyclic(2), Monoid.cyclic(4)
-    ld = _lift(z4, z2, MonoidAction.inversion(z4))
+    ld = semidirect_lift(z4, z2, MonoidAction.inversion(z4))
     pi = pi_functor(ld.dc)
     assert pi.f1.morphism_map == tuple(range(ld.dc.c1.n_morphisms))
     eta = phi_of_double_functor(pi, ld.dc, ld.dc)
@@ -72,8 +63,8 @@ def test_pi_functor_on_a_lift_is_the_identity():
 
 def test_enumerate_precosheaf_maps_counts():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
-    phi_inv = _lift(z3, z2, MonoidAction.inversion(z3)).phi
-    phi_triv = _lift(z3, z2, MonoidAction.trivial(z2, z3)).phi
+    phi_inv = semidirect_lift(z3, z2, MonoidAction.inversion(z3)).phi
+    phi_triv = semidirect_lift(z3, z2, MonoidAction.trivial(z2, z3)).phi
     # endomorphisms of Z3 commuting with inversion: all three of them
     assert len(enumerate_precosheaf_maps(phi_inv, phi_inv)) == 3
     # maps from the inversion action to the trivial one must collapse

@@ -43,6 +43,8 @@ from doublelift.grothendieck import Precosheaf, precosheaf_from_action
 from doublelift.lift import PrecosheafMap, lift_data, lift_functor
 from doublelift.twocat import decorate, suspend
 
+from support import compose_double_functors, klein_four
+
 
 def oracle_precosheaf_maps(phi, psi):
     b = phi.dec.bicat
@@ -149,22 +151,18 @@ def oracle_triangle_entries(g, a, actions):
         for j, (ld2, pi2, phi2) in enumerate(lifts):
             for k, eta in enumerate(enumerate_precosheaf_maps(ld1.phi, ld2.phi)):
                 f = lift_functor(eta, ld1, ld2)
-                lhs = f.compose(pi1)
+                lhs = compose_double_functors(f, pi1)
                 back = _globular_map(f, ld1.dc, ld2.dc, phi1, phi2)
-                rhs = pi2.compose(lift_functor(back, ld1, ld2))
+                rhs = compose_double_functors(pi2, lift_functor(back, ld1, ld2))
                 ok = lhs.f1.morphism_map == rhs.f1.morphism_map
                 entries.append((f"naturality[{i},{j},{k}]", ok,
                                 "comparison commutes with lifted maps"))
     return tuple(entries)
 
 
-def _klein_four():
-    return Monoid(tuple(tuple(x ^ y for y in range(4)) for x in range(4)), 0)
-
-
 ACTING = {"z2": Monoid.cyclic(2), "z3": Monoid.cyclic(3), "flag": Monoid.flag()}
 TARGETS = {**{f"z{n}": Monoid.cyclic(n) for n in range(1, 6)},
-           "v4": _klein_four(), "flag": Monoid.flag()}
+           "v4": klein_four(), "flag": Monoid.flag()}
 
 
 @pytest.fixture(scope="module")

@@ -16,17 +16,10 @@ from doublelift.analysis import (
     vertical_chain,
     vertical_length,
 )
-from doublelift.doublecat import trivial_double_category
 from doublelift.errors import StructureError
-from doublelift.fincat import FunctorData, Monoid, MonoidAction, delooping, monoidal_delooping
-from doublelift.grothendieck import precosheaf_from_action
-from doublelift.lift import lift_data
-from doublelift.twocat import decorate, suspend
+from doublelift.fincat import FunctorData, Monoid, MonoidAction, delooping
 
-
-def _lift(n, m, action):
-    dec = decorate(delooping(m), suspend(monoidal_delooping(n)))
-    return lift_data(dec, precosheaf_from_action(dec, action))
+from support import discrete, semidirect_lift, trivial_double_category
 
 
 def test_gamma_is_idempotent(corpus_lifts):
@@ -95,14 +88,14 @@ def test_v1_membership_agrees_with_the_chain(corpus_lifts):
 
 
 def test_v1_membership_rejects_globular_input():
-    ld = _lift(Monoid.cyclic(3), Monoid.cyclic(2), MonoidAction.inversion(Monoid.cyclic(3)))
+    ld = semidirect_lift(Monoid.cyclic(3), Monoid.cyclic(2), MonoidAction.inversion(Monoid.cyclic(3)))
     with pytest.raises(StructureError, match="not-a-pair-square"):
         v1_membership(ld, 0)
 
 
 def test_folding_absent_for_the_inversion_action():
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
-    ld = _lift(z3, z2, MonoidAction.inversion(z3))
+    ld = semidirect_lift(z3, z2, MonoidAction.inversion(z3))
     result = find_folding(ld)
     assert isinstance(result, SearchCertificate)
     assert result.exhausted and not result.inconclusive
@@ -111,7 +104,7 @@ def test_folding_absent_for_the_inversion_action():
 
 def test_folding_present_for_the_trivial_action():
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
-    ld = _lift(z3, z2, MonoidAction.trivial(z2, z3))
+    ld = semidirect_lift(z3, z2, MonoidAction.trivial(z2, z3))
     fold = find_folding(ld)
     assert isinstance(fold, Folding)
     validate_folding(ld, fold)
@@ -122,7 +115,7 @@ def test_folding_present_for_the_trivial_action():
 
 def test_validate_folding_rejects_a_broken_family():
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
-    ld = _lift(z3, z2, MonoidAction.trivial(z2, z3))
+    ld = semidirect_lift(z3, z2, MonoidAction.trivial(z2, z3))
     ident = (0, 1, 2)
     with pytest.raises(StructureError, match="folding-vertical"):
         validate_folding(ld, Folding((ident, (0, 2, 1))))
@@ -134,7 +127,7 @@ def test_validate_folding_rejects_a_broken_family():
 
 def test_search_limit_can_force_an_inconclusive_certificate(monkeypatch):
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
-    ld = _lift(z3, z2, MonoidAction.inversion(z3))
+    ld = semidirect_lift(z3, z2, MonoidAction.inversion(z3))
     monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "1")
     result = find_folding(ld)
     assert isinstance(result, SearchCertificate)
@@ -145,7 +138,7 @@ def test_search_limit_can_force_an_inconclusive_certificate(monkeypatch):
 
 def test_reconstruction_round_trip():
     z4, z2 = Monoid.cyclic(4), Monoid.cyclic(2)
-    ld = _lift(z4, z2, MonoidAction.inversion(z4))
+    ld = semidirect_lift(z4, z2, MonoidAction.inversion(z4))
     back = reconstruct_single_object_lift(ld.dc)
     assert back.phi.on_cells2 == ld.phi.on_cells2
     assert back.dc.hcomp == ld.dc.hcomp
@@ -154,10 +147,8 @@ def test_reconstruction_round_trip():
 def test_reconstruction_rejects_multi_object_input():
     dc = trivial_double_category(delooping(Monoid.cyclic(2)))
     reconstruct_single_object_lift(dc)  # one object, fine
-    from doublelift.fincat import FiniteCategory
-
     with pytest.raises(StructureError, match="shape-mismatch"):
-        reconstruct_single_object_lift(trivial_double_category(FiniteCategory.discrete(2)))
+        reconstruct_single_object_lift(trivial_double_category(discrete(2)))
 
 
 def test_surjectivity_criterion_implies_gg(corpus_lifts):
@@ -195,7 +186,7 @@ def test_vertical_chain_rejects_a_shrinking_level():
 
 def test_non_integer_search_limit_is_a_named_error(monkeypatch):
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
-    ld = _lift(z3, z2, MonoidAction.inversion(z3))
+    ld = semidirect_lift(z3, z2, MonoidAction.inversion(z3))
     monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "abc")
     with pytest.raises(StructureError, match="search-limit"):
         find_folding(ld)
@@ -203,7 +194,7 @@ def test_non_integer_search_limit_is_a_named_error(monkeypatch):
 
 def test_negative_search_limit_is_a_named_error(monkeypatch):
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
-    ld = _lift(z3, z2, MonoidAction.inversion(z3))
+    ld = semidirect_lift(z3, z2, MonoidAction.inversion(z3))
     monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "-5")
     with pytest.raises(StructureError, match="search-limit"):
         find_folding(ld)
@@ -214,7 +205,7 @@ def test_negative_search_limit_is_a_named_error(monkeypatch):
 
 def test_validate_folding_rejects_a_family_of_the_wrong_length():
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
-    ld = _lift(z3, z2, MonoidAction.trivial(z2, z3))
+    ld = semidirect_lift(z3, z2, MonoidAction.trivial(z2, z3))
     with pytest.raises(StructureError, match="folding-shape"):
         validate_folding(ld, Folding(((0, 1, 2),)))
 
@@ -226,3 +217,21 @@ def test_gamma_frame_functors_equal_a_validated_rebuild(corpus_lifts):
         dc = gamma_data(ld.dc).dc
         for f in (dc.src, dc.tgt, dc.hid):
             assert f == FunctorData(f.source, f.target, f.object_map, f.morphism_map), tag
+
+
+def test_globular_monoid_equals_a_validated_rebuild(corpus_lifts, monkeypatch):
+    # single_object_monoids skips A's laws, which the bicategory has
+    # already passed; the checking constructor must accept A's table, and
+    # deciding a folding must check no monoid laws
+    from doublelift.analysis import single_object_monoids
+
+    lifts = [(tag, ld) for tag, ld in corpus_lifts if ld.dec.bicat.n1 == 1]
+    assert len(lifts) == 6
+    for tag, ld in lifts:
+        _, a = single_object_monoids(ld.dec)
+        assert a == Monoid(a.table, a.unit), tag
+    checks = []
+    monkeypatch.setattr(Monoid, "_validate", lambda m: checks.append(m.size))
+    for tag, ld in lifts:
+        find_folding(ld)
+        assert checks == [], tag

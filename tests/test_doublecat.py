@@ -8,11 +8,11 @@ from doublelift.doublecat import (
     decorated_horizontalization,
     globular_squares,
     horizontalization,
-    trivial_double_category,
 )
 from doublelift.errors import StructureError
 from doublelift.fincat import Monoid, MonoidAction, delooping
-from doublelift.lift import lift_data
+
+from support import compose_double_functors, identity_double_functor, trivial_double_category
 
 LAW_NAMES = [
     "hid-section",
@@ -150,9 +150,9 @@ def test_totality_violations_short_circuit():
 
 def test_double_functor_identity_and_check():
     dc = _semidirect_dc()
-    ident = DoubleFunctor.identity(dc)
+    ident = identity_double_functor(dc)
     ident.check(dc, dc)
-    assert ident.compose(ident).f1.morphism_map == ident.f1.morphism_map
+    assert compose_double_functors(ident, ident).f1.morphism_map == ident.f1.morphism_map
 
 
 def test_square_shape_invariant():
@@ -193,26 +193,32 @@ def test_wiring_errors_are_named_without_asserts():
     import doublelift
 
     # src lands in a one-morphism category instead of c0, then hid lands
-    # there instead of in c1; __debug__ is False under -O
+    # there instead of in c1, then tgt comes out of the square category of
+    # the lift of the trivial action, which has the same objects and
+    # vertical morphisms; __debug__ is False under -O
     code = (
-        "from doublelift.doublecat import DoubleCategory, trivial_double_category\n"
+        "from doublelift.doublecat import DoubleCategory\n"
         "from doublelift.errors import StructureError\n"
+        "from doublelift.examples import fixture_by_name\n"
         "from doublelift.fincat import FunctorData, Monoid, delooping\n"
+        "from support import trivial_double_category\n"
         "dc = trivial_double_category(delooping(Monoid.cyclic(3)))\n"
+        "a, b = (fixture_by_name(f'semidirect:z3:z2:{k}').dc for k in ('inv', 'triv'))\n"
         "point = delooping(Monoid.trivial())\n"
         "src = FunctorData(dc.c1, point, (0,), (0, 0, 0))\n"
         "hid = FunctorData(dc.c0, point, (0,), (0, 0, 0))\n"
-        "for s, h in ((src, dc.hid), (dc.src, hid)):\n"
+        "for c, s, t, h in ((dc, src, dc.tgt, dc.hid), (dc, dc.src, dc.tgt, hid),\n"
+        "                   (a, a.src, b.tgt, a.hid)):\n"
         "    try:\n"
-        "        DoubleCategory(dc.c0, dc.c1, s, dc.tgt, h, dc.hcomp)\n"
+        "        DoubleCategory(c.c0, c.c1, s, t, h, c.hcomp)\n"
         "    except StructureError as exc:\n"
         "        print(exc.law, __debug__)\n"
     )
     src_dir = os.path.dirname(os.path.dirname(doublelift.__file__))
-    env = {**os.environ, "PYTHONPATH": src_dir}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src_dir, os.path.dirname(__file__)))}
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n") == ["wiring False", "wiring False", ""]
+    assert out.split("\n") == ["wiring False"] * 3 + [""]
 
 
 def test_double_functor_check_names_miswired_categories():
@@ -220,7 +226,7 @@ def test_double_functor_check_names_miswired_categories():
 
     dc = _semidirect_dc()
     other = trivial_double_category(delooping(Monoid.cyclic(2)))
-    ident = DoubleFunctor.identity(dc)
+    ident = identity_double_functor(dc)
     with pytest.raises(StructureError, match="wiring"):
         ident.check(dc, other)
     with pytest.raises(StructureError, match="wiring"):

@@ -1,4 +1,3 @@
-import itertools
 from typing import Optional
 
 import pytest
@@ -27,8 +26,9 @@ from doublelift.fincat import (
     MonoidAction,
     StrictMonoidalCategory,
     enumerate_actions,
-    monoid_isomorphism,
 )
+
+from support import monoid_isomorphism, relabel, symmetric_group
 
 
 def monoidal_functor_violations(src: StrictMonoidalCategory, tgt: StrictMonoidalCategory,
@@ -50,15 +50,6 @@ def monoidal_functor_violations(src: StrictMonoidalCategory, tgt: StrictMonoidal
     return None
 
 
-def _symmetric_group(n):
-    perms = list(itertools.permutations(range(n)))
-    pos = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(pos[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
-    return Monoid(table, pos[tuple(range(n))])
-
-
 def test_semidirect_inversion_gives_the_dihedral_monoid():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
     fx = build_semidirect_fixture(z3, z2, MonoidAction.inversion(z3))
@@ -66,7 +57,7 @@ def test_semidirect_inversion_gives_the_dihedral_monoid():
     assert not fx.endo_monoid.is_commutative
     # the symmetric group on three letters, built from permutations with no
     # reference to the lift, is the same group up to isomorphism
-    assert monoid_isomorphism(fx.endo_monoid, _symmetric_group(3)) is not None
+    assert monoid_isomorphism(fx.endo_monoid, symmetric_group(3)) is not None
 
 
 def test_semidirect_trivial_gives_the_cyclic_group():
@@ -130,13 +121,6 @@ def test_graded_fixture_with_the_unit_elsewhere():
     assert fx.dc.c1.n_morphisms == ref.dc.c1.n_morphisms
 
 
-def _relabel(m: Monoid, perm) -> Monoid:
-    """``m`` with element x renamed perm[x]."""
-    inv = {p: x for x, p in enumerate(perm)}
-    return Monoid(tuple(tuple(perm[m.mul(inv[x], inv[y])] for y in range(m.size))
-                        for x in range(m.size)), perm[m.unit])
-
-
 def test_the_twist_is_on_the_nose():
     # every action by automorphisms of Z1-Z4 on Z1-Z5, on the monoids' own
     # labels and on two relabellings that move the unit away from 0
@@ -146,8 +130,8 @@ def test_the_twist_is_on_the_nose():
     for ng in range(1, 5):
         for nh in range(1, 6):
             for perm in relabellings:
-                g = _relabel(Monoid.cyclic(ng), list(perm(ng)))
-                h = _relabel(Monoid.cyclic(nh), list(perm(nh)))
+                g = relabel(Monoid.cyclic(ng), list(perm(ng)))
+                h = relabel(Monoid.cyclic(nh), list(perm(nh)))
                 for action in enumerate_actions(g, h):
                     if any(len(set(f)) != nh for f in action.maps):
                         continue

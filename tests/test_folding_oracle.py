@@ -37,6 +37,8 @@ from doublelift.grothendieck import precosheaf_from_action
 from doublelift.lift import lift_data
 from doublelift.twocat import decorate, suspend
 
+from support import klein_four
+
 
 def oracle_folding_search(ld, mirrored):
     m, a = single_object_monoids(ld.dec)
@@ -128,13 +130,9 @@ def oracle_vertical_failure(ld, fold):
     return None
 
 
-def _klein_four():
-    return Monoid(tuple(tuple(x ^ y for y in range(4)) for x in range(4)), 0)
-
-
 ACTING = {"z2": Monoid.cyclic(2), "z3": Monoid.cyclic(3), "flag": Monoid.flag()}
 TARGETS = {**{f"z{n}": Monoid.cyclic(n) for n in range(1, 6)},
-           "v4": _klein_four(), "flag": Monoid.flag()}
+           "v4": klein_four(), "flag": Monoid.flag()}
 
 
 @pytest.fixture(scope="module")

@@ -19,8 +19,9 @@ from doublelift.fincat import (
     cayley_tree,
     enumerate_actions,
     monoid_endomorphisms,
-    monoid_isomorphism,
 )
+
+from support import monoid_isomorphism, relabel
 
 
 def oracle_homomorphisms(a: Monoid, b: Monoid) -> list[tuple[int, ...]]:
@@ -84,20 +85,13 @@ ACTING = {"z2": Z2, "z3": Monoid.cyclic(3), "flag": FLAG}
 ACTION_TARGETS = {k: m for k, m in MONOIDS.items() if k != "null6"}
 
 
-def _relabel(m: Monoid, perm) -> Monoid:
-    """``m`` with element x renamed perm[x]."""
-    inv = {p: x for x, p in enumerate(perm)}
-    return Monoid(tuple(tuple(perm[m.mul(inv[x], inv[y])] for y in range(m.size))
-                        for x in range(m.size)), perm[m.unit])
-
-
 @st.composite
 def relabelled(draw, monoids):
     """One of ``monoids``, relabelled so that its unit is not 0 unless it
     has one element."""
     m = monoids[draw(st.sampled_from(sorted(monoids)))]
     perm = draw(st.permutations(range(m.size)).filter(lambda p: m.size == 1 or p[m.unit] != 0))
-    return _relabel(m, perm)
+    return relabel(m, perm)
 
 
 @given(relabelled(MONOIDS))

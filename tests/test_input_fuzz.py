@@ -26,11 +26,12 @@ from hypothesis import given, settings, strategies as st
 from doublelift.analysis import single_object_monoids
 from doublelift.cli import run
 from doublelift.errors import StructureError
-from doublelift.examples import fixture_corpus
-from doublelift.fincat import Monoid, delooping, end_category, monoidal_delooping
+from doublelift.fincat import Monoid, delooping, monoidal_delooping
 from doublelift.lift import lift
 from doublelift.serialize import KINDS, dumps, loads
 from doublelift.twocat import decorate, suspend
+
+from support import end_category, fixture_corpus
 
 LIFTED = ("semidirect:z3:z2:inv", "twoobject", "graded:z2:z3:inv")
 

@@ -71,8 +71,8 @@ def test_corrupted_file_fails_with_a_named_law():
 
 
 def _graded_lift():
-    from doublelift.examples import fixture_corpus
     from doublelift.lift import lift_data
+    from support import fixture_corpus
 
     tag, dec, phi = next(t for t in fixture_corpus() if t[0] == "graded:z2:z3:inv")
     return lift_data(dec, phi).dc
@@ -409,3 +409,29 @@ def test_cli_option_values_and_double_dash():
                           "dec": "d", "phi": "p", "output": "c"}
     assert parse_args(["lift", "-o", "-", "--", "-d", "-p"]).dec == "-d"
     assert parse_args(["adjunction", "g", "a", "p", "--", "q"]).phis == ["p", "q"]
+
+
+def test_runtime_needs_only_the_standard_library():
+    # -I -S: no site-packages, no PYTHONPATH, no script directory; only src
+    # is added, so every module and one command run on the stdlib alone,
+    # and no module of the package imports the test helpers
+    import os
+    import subprocess
+    import sys
+
+    import doublelift
+
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import doublelift\n"
+        "for mod in pkgutil.iter_modules(doublelift.__path__):\n"
+        "    importlib.import_module('doublelift.' + mod.name)\n"
+        "from doublelift import cli\n"
+        "sys.exit(cli.run(['example', 'semidirect:z3:z2:inv']))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(doublelift.__file__))
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src_dir],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "pass  axioms" in done.stdout

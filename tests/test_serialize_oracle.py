@@ -25,6 +25,8 @@ from doublelift.grothendieck import precosheaf_from_action
 from doublelift.serialize import FUNCTOR, HCOMP, KINDS, MAPPING, NAMES, TABLE, dumps
 from doublelift.twocat import StrictBicategory, decorate, suspend
 
+from support import discrete
+
 
 def _oracle_field(value, shape):
     if isinstance(shape, str):
@@ -78,7 +80,7 @@ def test_writer_matches_the_reference_on_larger_lifts(name):
 
 def test_writer_matches_the_reference_on_empty_tables():
     empty = StrictBicategory(0, (), (), (), (), (), (), {}, {}, {})
-    for value in (FiniteCategory.discrete(0), empty, decorate(FiniteCategory.discrete(0), empty)):
+    for value in (discrete(0), empty, decorate(discrete(0), empty)):
         assert dumps(value) == reference(value), type(value).__name__
 
 
@@ -139,7 +141,7 @@ def structures(draw):
     fiber = monoidal_delooping(target)
     dec = decorate(delooping(acting), suspend(fiber))
     phi = precosheaf_from_action(dec, MonoidAction.trivial(acting, target))
-    return (acting, target, _preorder_category(draw), FiniteCategory.discrete(draw(st.integers(0, 2))),
+    return (acting, target, _preorder_category(draw), discrete(draw(st.integers(0, 2))),
             fiber, dec, phi)
 
 

@@ -27,19 +27,20 @@ from hypothesis import given, settings, strategies as st
 
 from doublelift.analysis import single_object_monoids
 from doublelift.errors import StructureError
-from doublelift.examples import fixture_corpus, graded_category
+from doublelift.examples import graded_category
 from doublelift.fincat import (
     FiniteCategory,
     FunctorData,
     Monoid,
     MonoidMorphism,
     StrictMonoidalCategory,
-    end_category,
     monoid_endomorphisms,
     monoidal_delooping,
 )
 from doublelift.lift import lift_data
 from doublelift.twocat import StrictBicategory, suspend
+
+from support import end_category, fixture_corpus
 
 
 def monoid_violations(table, unit) -> list[tuple[str, str]]:

@@ -8,9 +8,10 @@ from doublelift.fincat import (
     Monoid,
     delooping,
     monoidal_delooping,
-    vertical_category,
 )
 from doublelift.twocat import DecoratedBicategory, StrictBicategory, decorate, suspend
+
+from support import discrete, vertical_category
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def test_decoration_must_share_objects():
     z2 = Monoid.cyclic(2)
     b = suspend(monoidal_delooping(z2))
     with pytest.raises(StructureError, match="decoration-mismatch"):
-        decorate(FiniteCategory.discrete(2), b)
+        decorate(discrete(2), b)
     dec = decorate(delooping(z2), b)
     assert isinstance(dec, DecoratedBicategory)
 
