@@ -6,14 +6,12 @@ identities making the two constructions adjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analysis import gamma_data, single_object_monoids, single_object_precosheaf
 from .doublecat import DoubleCategory, DoubleFunctor, globular_squares
 from .errors import StructureError
 from .fincat import (FunctorData, Monoid, MonoidAction, delooping, endomorphism_monoid_of_object,
                      monoid_endomorphisms, monoidal_delooping)
-from .grothendieck import Precosheaf, precosheaf_from_action
+from .grothendieck import Precosheaf
 from .lift import LiftData, PrecosheafMap, lift_data, lift_functor
 from .twocat import DecoratedBicategory, decorate, suspend
 
@@ -138,28 +136,18 @@ def group_decoration(g: Monoid, a: Monoid) -> DecoratedBicategory:
     return decorate(delooping(g), suspend(monoidal_delooping(a)))
 
 
-@dataclass(frozen=True)
-class TriangleReport:
-    entries: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-
-def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction]) -> TriangleReport:
+def check_triangle_identities(phis: list[Precosheaf]) -> tuple[tuple[str, bool, str], ...]:
     """Verify both triangle laws and the naturality of the comparison
-    functors over a family of actions of a group g on a commutative
-    monoid a."""
-    dec = group_decoration(g, a)
+    functors over a family of pre-cosheaves on a group decoration
+    (Omega G, 2 Omega A), each lifted over its own ``dec``.  Returns the
+    (name, passed, detail) entries; extract_phi rejects other shapes."""
     entries: list[tuple[str, bool, str]] = []
     # each lift with the square map of its comparison functor and its
     # extracted pre-cosheaf, built once and reused below; both functors
     # passed to _globular_map are the identity on the decoration
     lifts: list[tuple[LiftData, tuple[int, ...], Precosheaf]] = []
-    for i, action in enumerate(actions):
-        phi = precosheaf_from_action(dec, action)
-        ld = lift_data(dec, phi)
+    for i, phi in enumerate(phis):
+        ld = lift_data(phi.dec, phi)
 
         recovered = extract_phi(ld.dc)
         ok = recovered == phi
@@ -173,7 +161,7 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
         entries.append((f"pi-identity[{i}]", ok, "pi on a lift is the identity"))
 
         eta = _globular_map(pi, ld.dc, ld.dc, recovered, recovered)
-        ident2 = {x: x for x in range(dec.bicat.n2)}
+        ident2 = {x: x for x in range(phi.dec.bicat.n2)}
         ok = eta.comp2[0] == ident2
         entries.append((f"phi-of-pi-identity[{i}]", ok, "extracted map of pi is the identity"))
 
@@ -187,4 +175,4 @@ def check_triangle_identities(g: Monoid, a: Monoid, actions: list[MonoidAction])
                 ok = [f.f1.morphism_map[p] for p in pi1] == [pi2[p] for p in lifted_back]
                 entries.append((f"naturality[{i},{j},{k}]", ok,
                                 "comparison commutes with lifted maps"))
-    return TriangleReport(tuple(entries))
+    return tuple(entries)

@@ -243,12 +243,12 @@ def single_object_monoids(dec: DecoratedBicategory) -> tuple[Monoid, Monoid]:
     return m, a
 
 
-def validate_folding(ld: LiftData, fold: Folding) -> None:
-    """Re-check the folding laws by exhaustive enumeration.  The vertical
-    law is ``lams[m2 m1][y2 * phi(m2)(y1)] == lams[m2][y2] * lams[m1][y1]``.
+def validate_folding(phi: Precosheaf, fold: Folding) -> None:
+    """Re-check the folding laws of the lift of ``phi`` exhaustively.  The
+    vertical law is ``lams[m2 m1][y2 * phi(m2)(y1)] == lams[m2][y2] * lams[m1][y1]``.
     A cofolding swaps the two images on the right, which over the
     commutative globular monoids accepted here is the same law."""
-    m, a = single_object_monoids(ld.dec)
+    m, a = single_object_monoids(phi.dec)
     lams = fold.payload_maps
     if len(lams) != m.size:
         raise StructureError("folding-shape", f"{len(lams)} bijections for {m.size} vertical morphisms")
@@ -265,17 +265,17 @@ def validate_folding(ld: LiftData, fold: Folding) -> None:
                     raise StructureError("folding-horizontal", f"({x}, {y1}, {y2})")
     for m2 in range(m.size):
         for m1 in range(m.size):
-            lamc, lam2, lam1, act = lams[m.mul(m2, m1)], lams[m2], lams[m1], ld.phi.on_cells2[m2]
+            lamc, lam2, lam1, act = lams[m.mul(m2, m1)], lams[m2], lams[m1], phi.on_cells2[m2]
             for y2 in range(a.size):
                 for y1 in range(a.size):
                     if lamc[a.mul(y2, act[y1])] != a.mul(lam2[y2], lam1[y1]):
                         raise StructureError("folding-vertical", f"({m2}, {m1}, {y2}, {y1})")
 
 
-def find_folding(ld: LiftData):
-    """The folding, re-checked by ``validate_folding``, or the certificate
-    that a backtracking search over the automorphisms of A, one vertical
-    morphism at a time in ascending id order, would give.
+def find_folding(phi: Precosheaf):
+    """The folding of the lift of ``phi``, re-checked by ``validate_folding``,
+    or the certificate that a backtracking search over the automorphisms of
+    A, one vertical morphism at a time in ascending id order, would give.
 
     The vertical law at (unit, x) and payload unit makes lams[x] the
     identity, which is the first automorphism, and the law at (x, unit)
@@ -284,37 +284,37 @@ def find_folding(ld: LiftData):
     it proves absence in |Aut(A)| (k + 1) nodes, k the position of the
     first nontrivial one.  Automorphisms are counted only in that case,
     and only until the count exceeds the budget."""
-    m, a = single_object_monoids(ld.dec)
+    m, a = single_object_monoids(phi.dec)
     limit = _search_limit()
     order = [x for x in range(m.size) if x != m.unit]
     k = next((i for i, x in enumerate(order)
-              if any(ld.phi.on_cells2[x][y] != y for y in range(a.size))), None)
+              if any(phi.on_cells2[x][y] != y for y in range(a.size))), None)
     if k is None:
         if len(order) <= limit:
             fold = Folding((tuple(range(a.size)),) * m.size)
-            validate_folding(ld, fold)
+            validate_folding(phi, fold)
             return fold
         return SearchCertificate(False, limit + 1, limit)
-    autos = (f for f in monoid_homomorphisms(a, a.table, a.unit) if len(set(f)) == a.size)
+    autos = monoid_homomorphisms(a, a.table, a.unit, injective=True)
     nodes = (k + 1) * sum(1 for _ in itertools.islice(autos, limit // (k + 1) + 1))
     if nodes <= limit:
         return SearchCertificate(True, nodes, limit)
     return SearchCertificate(False, limit + 1, limit)
 
 
-def find_cofolding(ld: LiftData):
+def find_cofolding(phi: Precosheaf):
     """A cofolding swaps the two images in the vertical law.  Over the
     commutative globular monoids accepted here that is the folding law, so
     this is find_folding's result, marked as a cofolding when found."""
-    result = find_folding(ld)
+    result = find_folding(phi)
     return replace(result, cofolding=True) if isinstance(result, Folding) else result
 
 
-def framed_flag(ld: LiftData) -> Optional[bool]:
+def framed_flag(phi: Precosheaf) -> Optional[bool]:
     """True when both a folding and a cofolding exist, False when they are
     proven absent, None when the budget was exceeded.  One answer decides
     both, since a cofolding is a folding here."""
-    result = find_folding(ld)
+    result = find_folding(phi)
     if isinstance(result, Folding):
         return True
     return False if result.exhausted else None
@@ -326,7 +326,10 @@ def single_object_precosheaf(c: DoubleCategory) -> Precosheaf:
     The action of a vertical morphism m on a globular payload p is the
     unique globular q with q . i_m == i_m . p: both composites are the
     square (m, action(p)), and matching needs no inverses, so this works
-    for monoid decorations."""
+    for monoid decorations.  The lift of the result has one square per
+    vertical morphism and globular square, and ``c`` must have as many."""
+    if c.c0.n_objects != 1 or c.c1.n_objects != 1:
+        raise StructureError("shape-mismatch", "expected one object and one horizontal 1-cell")
     dec = decorated_horizontalization(c)
     glob = sorted(globular_squares(c))
     on1, on2 = [], []
@@ -341,19 +344,17 @@ def single_object_precosheaf(c: DoubleCategory) -> Precosheaf:
             mapping[i] = matches[0]
         on1.append({0: 0})
         on2.append(mapping)
-    return Precosheaf(dec, tuple(on1), tuple(on2))
+    phi = Precosheaf(dec, tuple(on1), tuple(on2))
+    if c.c1.n_morphisms != c.c0.n_morphisms * len(glob):
+        raise StructureError("not-a-lift", "square count differs from the reconstructed lift")
+    return phi
 
 
 def reconstruct_single_object_lift(c: DoubleCategory) -> LiftData:
     """Recover the (dec, phi) presentation of a one-object, one-1-cell lift
     from its tables."""
-    if c.c0.n_objects != 1 or c.c1.n_objects != 1:
-        raise StructureError("shape-mismatch", "expected one object and one horizontal 1-cell")
     phi = single_object_precosheaf(c)
-    ld = lift_data(phi.dec, phi)
-    if ld.dc.c1.n_morphisms != c.c1.n_morphisms:
-        raise StructureError("not-a-lift", "square count differs from the reconstructed lift")
-    return ld
+    return lift_data(phi.dec, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,7 @@ from typing import Callable, Optional
 
 from . import serialize
 from .adjoint import check_triangle_identities, group_decoration
-from .analysis import (
-    Folding,
-    find_folding,
-    gamma_data,
-    reconstruct_single_object_lift,
-)
+from .analysis import Folding, find_folding, gamma_data, single_object_precosheaf
 from .doublecat import LAWS, DoubleCategory
 from .errors import StructureError
 from .examples import (
@@ -27,7 +22,7 @@ from .examples import (
     SemidirectFixture,
     fixture_by_name,
 )
-from .fincat import Monoid, MonoidAction
+from .fincat import Monoid
 from .grothendieck import Precosheaf
 from .lift import lift
 from .twocat import DecoratedBicategory
@@ -124,7 +119,7 @@ def cmd_folding(args, report: Report) -> None:
         return
     # a cofolding is a folding over the commutative globular monoids
     # accepted here, so one search answers all three lines
-    result = find_folding(reconstruct_single_object_lift(dc))
+    result = find_folding(single_object_precosheaf(dc))
     for tag in ("folding", "cofolding"):
         if isinstance(result, Folding):
             report.info(tag, "found: " + repr(result.payload_maps))
@@ -143,7 +138,7 @@ def cmd_adjunction(args, report: Report) -> None:
         report.add("input-kinds", False, "expected two monoid files")
         return
     dec = group_decoration(g, a)
-    actions = []
+    phis = []
     for path in args.phis:
         phi = serialize.load(path)
         if not isinstance(phi, Precosheaf):
@@ -153,12 +148,8 @@ def cmd_adjunction(args, report: Report) -> None:
             report.add("input-kinds", False, f"{path} is not a precosheaf over the decorated "
                                              "bicategory of the two monoid files")
             return
-        maps = tuple(
-            tuple(phi.on_cells2[m][x] for x in range(a.size)) for m in range(g.size)
-        )
-        actions.append(MonoidAction(g, a, maps))
-    triangle = check_triangle_identities(g, a, actions)
-    for name, ok, detail in triangle.entries:
+        phis.append(phi)
+    for name, ok, detail in check_triangle_identities(phis):
         report.add(name, ok, detail)
 
 
@@ -182,7 +173,7 @@ def cmd_example(args, report: Report) -> None:
         kind = "abelian" if fx.endo_monoid.is_commutative else "non-abelian"
         group = "group" if fx.endo_monoid.is_group() else "monoid"
         report.info("endo-monoid", f"order {fx.endo_monoid.size}, {kind} {group}")
-        result = find_folding(ld)
+        result = find_folding(ld.phi)
         if isinstance(result, Folding):
             report.info("folding", "found")
         elif result.exhausted:

@@ -252,7 +252,8 @@ def cayley_tree(m: Monoid) -> tuple[list[int], list[tuple[int, int, int]]]:
     return gens, tree
 
 
-def monoid_homomorphisms(source: Monoid, table, unit: int) -> Iterator[tuple[int, ...]]:
+def monoid_homomorphisms(source: Monoid, table, unit: int, *,
+                         injective: bool = False) -> Iterator[tuple[int, ...]]:
     """Every monoid homomorphism from ``source`` into the monoid with product
     table ``table`` and unit ``unit``, lazily, in lexicographic order.
 
@@ -263,7 +264,8 @@ def monoid_homomorphisms(source: Monoid, table, unit: int) -> Iterator[tuple[int
     Each product ``x * y`` is checked as soon as the images of x, y and x y
     are set, which cuts only subtrees that hold no homomorphism.  At most
     |target|^(number of generators) leaves are reached: |target| for a
-    cyclic source on its own labels.
+    cyclic source on its own labels.  With ``injective``, only injective ones
+    are kept, and a subtree is cut as soon as two images set so far coincide.
     """
     gens, tree = cayley_tree(source)
     n, src = source.size, source.table
@@ -277,9 +279,13 @@ def monoid_homomorphisms(source: Monoid, table, unit: int) -> Iterator[tuple[int
     for x in range(n):
         for y in range(n):
             checks[max(fixed[x], fixed[y], fixed[src[x][y]])].append((x, y, src[x][y]))
+    # set_by[j]: the elements whose images the first j generator images set
+    set_by = [[x for x in range(n) if fixed[x] <= j] for j in range(len(gens) + 1)]
     img, images = [unit] * n, [unit] * len(gens)
 
     def extend(j: int):
+        if injective and len({img[x] for x in set_by[j]}) < len(set_by[j]):
+            return
         if not all(img[xy] == table[img[x]][img[y]] for x, y, xy in checks[j]):
             return
         if j == len(gens):
@@ -300,7 +306,7 @@ def monoid_endomorphisms(m: Monoid) -> list[tuple[int, ...]]:
 
 
 def monoid_automorphisms(m: Monoid) -> list[tuple[int, ...]]:
-    return [f for f in monoid_endomorphisms(m) if len(set(f)) == m.size]
+    return list(monoid_homomorphisms(m, m.table, m.unit, injective=True))
 
 
 def enumerate_actions(acting: Monoid, target: Monoid) -> list[MonoidAction]:
@@ -408,11 +414,16 @@ class FiniteCategory:
 
 
 def delooping(m: Monoid) -> FiniteCategory:
-    """The one-object category whose endomorphisms are ``m``."""
+    """The one-object category whose endomorphisms are ``m``.
+
+    ``m`` must satisfy the monoid laws (it has passed them, or inherited
+    them).  The category laws of the result are exactly those laws, so they
+    are not checked again.
+    """
     comp = {(g, f): m.mul(g, f) for g in range(m.size) for f in range(m.size)}
     return FiniteCategory(
         1, (0,) * m.size, (0,) * m.size, (m.unit,), comp,
-        object_names=("*",), morphism_names=m.names,
+        object_names=("*",), morphism_names=m.names, validate=False,
     )
 
 
@@ -547,7 +558,9 @@ def monoidal_delooping(m: Monoid) -> StrictMonoidalCategory:
 def semidirect_product(n: Monoid, m: Monoid, action: MonoidAction) -> Monoid:
     """N x| M with product (n', m') * (n, m) = (n' * phi_{m'}(n), m' * m).
 
-    Element (x, y) gets identifier x * |M| + y.
+    Element (x, y) gets identifier x * |M| + y.  ``n`` and ``m`` must satisfy
+    the monoid laws and ``action`` is a checked action, which makes the
+    product unital and associative, so the result is not checked again.
     """
     if not n.is_commutative:
         raise StructureError("semidirect-precondition", "N must be commutative")
@@ -569,5 +582,5 @@ def semidirect_product(n: Monoid, m: Monoid, action: MonoidAction) -> Monoid:
     names = None
     if n.names and m.names:
         names = tuple(f"({n.names[x]}, {m.names[y]})" for x in range(n.size) for y in range(m.size))
-    return Monoid(tuple(tuple(row) for row in table), enc(n.unit, m.unit), names)
+    return Monoid(tuple(tuple(row) for row in table), enc(n.unit, m.unit), names, validate=False)
 

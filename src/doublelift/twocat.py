@@ -212,17 +212,22 @@ def check_monoidal_map(b: StrictBicategory, a: int, c: int, m1: Mapping[int, int
 
 
 def suspend(d: StrictMonoidalCategory) -> StrictBicategory:
-    """The one-object bicategory whose endomorphism category is ``d``."""
+    """The one-object bicategory whose endomorphism category is ``d``.
+
+    ``d`` is a checked monoidal category whose base satisfies the category
+    laws (it has passed them, or inherited them).  The vertical, horizontal
+    and interchange laws of the result are exactly d's composition, tensor
+    and interchange laws, so they are not checked again.
+    """
     base = d.base
-    n1, n2 = base.n_objects, base.n_morphisms
-    vcomp = dict(base.composition)
+    n1 = base.n_objects
     return StrictBicategory(
         1,
         (0,) * n1, (0,) * n1,
         base.dom, base.cod,
         (d.unit_obj,), base.identity,
-        vcomp, dict(d.tensor_obj), dict(d.tensor_mor),
-        names1=base.object_names, names2=base.morphism_names,
+        base.composition, d.tensor_obj, d.tensor_mor,
+        names1=base.object_names, names2=base.morphism_names, validate=False,
     )
 
 

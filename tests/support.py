@@ -6,6 +6,7 @@ use; what only the tests need lives here.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Optional
 
@@ -54,7 +55,7 @@ def monoid_isomorphism(a: Monoid, b: Monoid) -> Optional[tuple[int, ...]]:
     """The lexicographically first isomorphism a -> b, or None."""
     if a.size != b.size:
         return None
-    return next((f for f in monoid_homomorphisms(a, b.table, b.unit) if len(set(f)) == a.size), None)
+    return next(monoid_homomorphisms(a, b.table, b.unit, injective=True), None)
 
 
 def element_order(m: Monoid, x: int) -> int:
@@ -162,6 +163,26 @@ def klein_four():
     return Monoid(tuple(tuple(x ^ y for y in range(4)) for x in range(4)), 0)
 
 
+def null_monoid(n: int) -> Monoid:
+    """A zero (element 1) and n - 2 elements whose products are all the
+    zero, with a unit (element 0) adjoined: only the zero is a product of
+    other elements, so every other non-unit element is a generator, and
+    every permutation of those elements is an automorphism."""
+    return Monoid(tuple(tuple(y if x == 0 else x if y == 0 else 1 for y in range(n))
+                        for x in range(n)), 0)
+
+
+def checked_rebuild(value):
+    """``value`` rebuilt from its fields by its checking constructor."""
+    return type(value)(**{f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+
+
 def semidirect_lift(n, m, action):
     dec = decorate(delooping(m), suspend(monoidal_delooping(n)))
     return lift_data(dec, precosheaf_from_action(dec, action))
+
+
+def action_precosheaves(m, n, actions) -> list[Precosheaf]:
+    """The pre-cosheaf of each action of m on n, over (Omega M, 2 Omega N)."""
+    dec = decorate(delooping(m), suspend(monoidal_delooping(n)))
+    return [precosheaf_from_action(dec, action) for action in actions]

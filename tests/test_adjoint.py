@@ -13,7 +13,7 @@ from doublelift.adjoint import (
 from doublelift.errors import StructureError
 from doublelift.fincat import Monoid, MonoidAction, delooping, enumerate_actions
 
-from support import discrete, semidirect_lift, trivial_double_category
+from support import action_precosheaves, discrete, semidirect_lift, trivial_double_category
 
 
 def test_extract_phi_round_trips_on_lifts():
@@ -78,16 +78,18 @@ def test_triangle_identities_over_the_full_grid():
         for a in (Monoid.cyclic(3), Monoid.cyclic(4)):
             actions = enumerate_actions(g, a)
             assert actions
-            report = check_triangle_identities(g, a, actions)
-            assert report.passed, (g.size, a.size, report.entries)
-            names = [name for name, _, _ in report.entries]
+            entries = check_triangle_identities(action_precosheaves(g, a, actions))
+            assert all(ok for _, ok, _ in entries), (g.size, a.size, entries)
+            names = [name for name, _, _ in entries]
             assert any(name.startswith("round-trip") for name in names)
             assert any(name.startswith("naturality") for name in names)
 
 
 def test_triangle_checker_rejects_non_groups():
+    flag, z3 = Monoid.flag(), Monoid.cyclic(3)
+    phis = action_precosheaves(flag, z3, [MonoidAction.trivial(flag, z3)])
     with pytest.raises(StructureError, match="not-a-group"):
-        check_triangle_identities(Monoid.flag(), Monoid.cyclic(3), [])
+        check_triangle_identities(phis)
 
 
 def test_triangle_check_lifts_and_checks_each_action_once(monkeypatch):
@@ -105,5 +107,5 @@ def test_triangle_check_lifts_and_checks_each_action_once(monkeypatch):
     counted(doublelift.doublecat, "check_double_axioms")
     z2, z5 = Monoid.cyclic(2), Monoid.cyclic(5)
     actions = [MonoidAction.trivial(z2, z5), MonoidAction.inversion(z5)]
-    assert check_triangle_identities(z2, z5, actions).passed
+    assert all(ok for _, ok, _ in check_triangle_identities(action_precosheaves(z2, z5, actions)))
     assert calls == {"lift_data": 2, "check_double_axioms": 2}

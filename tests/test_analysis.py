@@ -96,21 +96,21 @@ def test_v1_membership_rejects_globular_input():
 def test_folding_absent_for_the_inversion_action():
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
     ld = semidirect_lift(z3, z2, MonoidAction.inversion(z3))
-    result = find_folding(ld)
+    result = find_folding(ld.phi)
     assert isinstance(result, SearchCertificate)
     assert result.exhausted and not result.inconclusive
-    assert framed_flag(ld) is False
+    assert framed_flag(ld.phi) is False
 
 
 def test_folding_present_for_the_trivial_action():
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
     ld = semidirect_lift(z3, z2, MonoidAction.trivial(z2, z3))
-    fold = find_folding(ld)
+    fold = find_folding(ld.phi)
     assert isinstance(fold, Folding)
-    validate_folding(ld, fold)
-    cofold = find_cofolding(ld)
+    validate_folding(ld.phi, fold)
+    cofold = find_cofolding(ld.phi)
     assert isinstance(cofold, Folding) and cofold.cofolding
-    assert framed_flag(ld) is True
+    assert framed_flag(ld.phi) is True
 
 
 def test_validate_folding_rejects_a_broken_family():
@@ -118,22 +118,22 @@ def test_validate_folding_rejects_a_broken_family():
     ld = semidirect_lift(z3, z2, MonoidAction.trivial(z2, z3))
     ident = (0, 1, 2)
     with pytest.raises(StructureError, match="folding-vertical"):
-        validate_folding(ld, Folding((ident, (0, 2, 1))))
+        validate_folding(ld.phi, Folding((ident, (0, 2, 1))))
     with pytest.raises(StructureError, match="folding-identity"):
-        validate_folding(ld, Folding(((0, 2, 1), ident)))
+        validate_folding(ld.phi, Folding(((0, 2, 1), ident)))
     with pytest.raises(StructureError, match="folding-bijectivity|folding-horizontal"):
-        validate_folding(ld, Folding((ident, (0, 0, 0))))
+        validate_folding(ld.phi, Folding((ident, (0, 0, 0))))
 
 
 def test_search_limit_can_force_an_inconclusive_certificate(monkeypatch):
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
     ld = semidirect_lift(z3, z2, MonoidAction.inversion(z3))
     monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "1")
-    result = find_folding(ld)
+    result = find_folding(ld.phi)
     assert isinstance(result, SearchCertificate)
     assert result.inconclusive
     assert result.limit == 1
-    assert framed_flag(ld) is None
+    assert framed_flag(ld.phi) is None
 
 
 def test_reconstruction_round_trip():
@@ -189,7 +189,7 @@ def test_non_integer_search_limit_is_a_named_error(monkeypatch):
     ld = semidirect_lift(z3, z2, MonoidAction.inversion(z3))
     monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "abc")
     with pytest.raises(StructureError, match="search-limit"):
-        find_folding(ld)
+        find_folding(ld.phi)
 
 
 def test_negative_search_limit_is_a_named_error(monkeypatch):
@@ -197,9 +197,9 @@ def test_negative_search_limit_is_a_named_error(monkeypatch):
     ld = semidirect_lift(z3, z2, MonoidAction.inversion(z3))
     monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "-5")
     with pytest.raises(StructureError, match="search-limit"):
-        find_folding(ld)
+        find_folding(ld.phi)
     monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "0")
-    result = find_folding(ld)
+    result = find_folding(ld.phi)
     assert isinstance(result, SearchCertificate) and result.inconclusive and result.limit == 0
 
 
@@ -207,7 +207,7 @@ def test_validate_folding_rejects_a_family_of_the_wrong_length():
     z3, z2 = Monoid.cyclic(3), Monoid.cyclic(2)
     ld = semidirect_lift(z3, z2, MonoidAction.trivial(z2, z3))
     with pytest.raises(StructureError, match="folding-shape"):
-        validate_folding(ld, Folding(((0, 1, 2),)))
+        validate_folding(ld.phi, Folding(((0, 1, 2),)))
 
 
 def test_gamma_frame_functors_equal_a_validated_rebuild(corpus_lifts):
@@ -233,5 +233,5 @@ def test_globular_monoid_equals_a_validated_rebuild(corpus_lifts, monkeypatch):
     checks = []
     monkeypatch.setattr(Monoid, "_validate", lambda m: checks.append(m.size))
     for tag, ld in lifts:
-        find_folding(ld)
+        find_folding(ld.phi)
         assert checks == [], tag

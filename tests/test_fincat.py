@@ -98,7 +98,8 @@ def test_semidirect_products_are_monoids_for_every_action(sizes):
     n_size, m_size = sizes
     n, m = Monoid.cyclic(n_size), Monoid.cyclic(m_size)
     for action in enumerate_actions(m, n):
-        sd = semidirect_product(n, m, action)  # constructor checks the laws
+        sd = semidirect_product(n, m, action)
+        assert sd == Monoid(sd.table, sd.unit)  # the checking constructor accepts it
         assert sd.size == n_size * m_size
         assert sd.is_group()
 

@@ -37,7 +37,7 @@ from doublelift.grothendieck import precosheaf_from_action
 from doublelift.lift import lift_data
 from doublelift.twocat import decorate, suspend
 
-from support import klein_four
+from support import klein_four, null_monoid
 
 
 def oracle_folding_search(ld, mirrored):
@@ -160,10 +160,10 @@ def test_search_matches_the_oracle(search_lifts, monkeypatch, limit):
         monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", limit)
     kinds = set()
     for tag, ld in search_lifts:
-        fold = find_folding(ld)
+        fold = find_folding(ld.phi)
         assert _outcome(fold) == _outcome(oracle_folding_search(ld, False)), tag
-        assert _outcome(find_cofolding(ld)) == _outcome(oracle_folding_search(ld, True)), tag
-        assert framed_flag(ld) == oracle_framed_flag(ld), tag
+        assert _outcome(find_cofolding(ld.phi)) == _outcome(oracle_folding_search(ld, True)), tag
+        assert framed_flag(ld.phi) == oracle_framed_flag(ld), tag
         kinds.add("folding" if isinstance(fold, Folding) else fold.exhausted)
     # the inputs exercise found foldings and proven absences, and a low
     # budget also cuts searches short
@@ -184,7 +184,7 @@ def test_a_folding_exists_iff_the_action_is_trivial():
             for i, action in enumerate(enumerate_actions(g, a)):
                 ld = lift_data(dec, precosheaf_from_action(dec, action))
                 trivial = all(f == ident for f in action.maps)
-                for result in (find_folding(ld), find_cofolding(ld)):
+                for result in (find_folding(ld.phi), find_cofolding(ld.phi)):
                     assert isinstance(result, Folding) == trivial, (gname, aname, i)
                     assert not trivial or result.payload_maps == (ident,) * g.size
                     assert trivial or result.exhausted
@@ -193,7 +193,7 @@ def test_a_folding_exists_iff_the_action_is_trivial():
 def test_validate_folding_matches_the_oracle_on_perturbed_families(search_lifts):
     checked = 0
     for tag, ld in search_lifts:
-        fold = find_folding(ld)
+        fold = find_folding(ld.phi)
         if not isinstance(fold, Folding):
             continue
         _, a = single_object_monoids(ld.dec)
@@ -203,7 +203,7 @@ def test_validate_folding_matches_the_oracle_on_perturbed_families(search_lifts)
                 for cofolding in (False, True):
                     family = Folding(maps, cofolding)
                     try:
-                        validate_folding(ld, family)
+                        validate_folding(ld.phi, family)
                         got = None
                     except StructureError as exc:
                         got = str(exc)
@@ -241,7 +241,7 @@ def test_the_node_count_matches_the_oracle_at_the_budget_edges(search_lifts, mon
         for limit, want in ((count, SearchCertificate(True, count, count)),
                             (count - 1, SearchCertificate(False, count, count - 1))):
             _with_limit(monkeypatch, limit)
-            assert find_folding(ld) == oracle_folding_search(ld, False) == want, (tag, limit)
+            assert find_folding(ld.phi) == oracle_folding_search(ld, False) == want, (tag, limit)
             edges += 1
     assert edges > 0
 
@@ -249,30 +249,27 @@ def test_the_node_count_matches_the_oracle_at_the_budget_edges(search_lifts, mon
 def test_a_trivial_action_needs_one_node_per_non_unit_vertical_morphism(monkeypatch):
     _with_limit(monkeypatch, 0)
     ld = _lift(Monoid.cyclic(1), Monoid.cyclic(3))
-    assert find_folding(ld) == oracle_folding_search(ld, False) == Folding(((0, 1, 2),))
+    assert find_folding(ld.phi) == oracle_folding_search(ld, False) == Folding(((0, 1, 2),))
     ld = _lift(Monoid.cyclic(3), Monoid.cyclic(2))
     for limit in (0, 1):
         _with_limit(monkeypatch, limit)
-        assert find_folding(ld) == oracle_folding_search(ld, False) == SearchCertificate(
+        assert find_folding(ld.phi) == oracle_folding_search(ld, False) == SearchCertificate(
             False, limit + 1, limit)
     _with_limit(monkeypatch, 2)
-    assert find_folding(ld) == oracle_folding_search(ld, False) == Folding(((0, 1),) * 3)
+    assert find_folding(ld.phi) == oracle_folding_search(ld, False) == Folding(((0, 1),) * 3)
 
 
 def test_the_budget_bounds_the_automorphism_count(monkeypatch):
     """Z2 swapping two non-zero elements of a null monoid of size 8 (720
     automorphisms): under a budget of 1 node, at most 2 automorphisms are
     drawn, enough to prove the budget exceeded."""
-    n = 8
-    null = Monoid(tuple(tuple(y if x == 0 else x if y == 0 else 1 for y in range(n))
-                        for x in range(n)), 0)
-    ld = _lift(Monoid.cyclic(2), null, (tuple(range(n)), (0, 1, 2, 3, 4, 5, 7, 6)))
+    ld = _lift(Monoid.cyclic(2), null_monoid(8), (tuple(range(8)), (0, 1, 2, 3, 4, 5, 7, 6)))
     drawn = 0
     real = fincat.monoid_homomorphisms
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         nonlocal drawn
-        for f in real(*args):
+        for f in real(*args, **kwargs):
             drawn += len(set(f)) == len(f)
             yield f
 
@@ -280,5 +277,5 @@ def test_the_budget_bounds_the_automorphism_count(monkeypatch):
         if hasattr(module, "monoid_homomorphisms"):
             monkeypatch.setattr(module, "monoid_homomorphisms", counting)
     _with_limit(monkeypatch, 1)
-    assert find_folding(ld) == SearchCertificate(False, 2, 1)
+    assert find_folding(ld.phi) == SearchCertificate(False, 2, 1)
     assert drawn <= 2

@@ -10,6 +10,7 @@ homomorphism the brute force finds, or None when there is none.
 """
 
 import itertools
+import math
 
 from hypothesis import given, strategies as st
 
@@ -18,10 +19,12 @@ from doublelift.fincat import (
     MonoidMorphism,
     cayley_tree,
     enumerate_actions,
+    monoid_automorphisms,
     monoid_endomorphisms,
+    monoid_homomorphisms,
 )
 
-from support import monoid_isomorphism, relabel
+from support import monoid_isomorphism, null_monoid, relabel
 
 
 def oracle_homomorphisms(a: Monoid, b: Monoid) -> list[tuple[int, ...]]:
@@ -60,14 +63,6 @@ def _direct_product(a: Monoid, b: Monoid) -> Monoid:
                         for x1 in range(a.size) for x2 in range(n)), a.unit * n + b.unit)
 
 
-def _null(n: int) -> Monoid:
-    """A zero (element 1) and n - 2 elements whose products are all the
-    zero, with a unit (element 0) adjoined: only the zero is a product of
-    other elements, so every other non-unit element is a generator."""
-    return Monoid(tuple(tuple(y if x == 0 else x if y == 0 else 1 for y in range(n))
-                        for x in range(n)), 0)
-
-
 Z2, FLAG = Monoid.cyclic(2), Monoid.flag()
 MONOIDS = {
     **{f"z{n}": Monoid.cyclic(n) for n in range(1, 7)},
@@ -75,9 +70,9 @@ MONOIDS = {
     "z2xz2": _direct_product(Z2, Z2),
     "flagxz2": _direct_product(FLAG, Z2),
     "flagxflag": _direct_product(FLAG, FLAG),
-    "null4": _null(4),
-    "null5": _null(5),
-    "null6": _null(6),
+    "null4": null_monoid(4),
+    "null5": null_monoid(5),
+    "null6": null_monoid(6),
 }
 ACTING = {"z2": Z2, "z3": Monoid.cyclic(3), "flag": FLAG}
 # The brute force over actions tries |End(target)|^|acting| tuples of
@@ -97,6 +92,33 @@ def relabelled(draw, monoids):
 @given(relabelled(MONOIDS))
 def test_endomorphisms_equal_the_brute_force_list(m):
     assert monoid_endomorphisms(m) == oracle_endomorphisms(m)
+
+
+@given(relabelled(MONOIDS))
+def test_automorphisms_equal_the_filtered_brute_force_list(m):
+    assert monoid_automorphisms(m) == [f for f in oracle_endomorphisms(m) if len(set(f)) == m.size]
+
+
+class _CountingTable(tuple):
+    reads = 0
+
+    def __getitem__(self, x):
+        _CountingTable.reads += 1
+        return tuple.__getitem__(self, x)
+
+
+def test_injective_enumeration_reads_few_products_per_automorphism():
+    """A null monoid's endomorphisms far outnumber its automorphisms
+    (117,650 to 720 at size 8).  Cutting a branch at its first repeated
+    image keeps the table reads per automorphism below 2 n^2 at sizes 6 to
+    8; keeping the bijective endomorphisms takes 400 to 3,100 reads each."""
+    for n in (6, 7, 8):
+        m = null_monoid(n)
+        _CountingTable.reads = 0
+        autos = list(monoid_homomorphisms(m, _CountingTable(m.table), m.unit, injective=True))
+        assert autos == monoid_automorphisms(m)
+        assert len(autos) == math.factorial(n - 2)
+        assert _CountingTable.reads < 2 * n * n * len(autos), n
 
 
 @given(relabelled(ACTING), relabelled(ACTION_TARGETS))

@@ -2,13 +2,15 @@ import json
 
 import pytest
 
+from doublelift import doublecat
 from doublelift.cli import run
 from doublelift.errors import StructureError
 from doublelift.examples import build_semidirect_fixture
-from doublelift.fincat import Monoid, MonoidAction, delooping, monoidal_delooping
-from doublelift.grothendieck import constant_precosheaf, precosheaf_from_action
+from doublelift.fincat import (FiniteCategory, FunctorData, Monoid, MonoidAction, MonoidMorphism,
+                               StrictMonoidalCategory, delooping, monoidal_delooping)
+from doublelift.grothendieck import Precosheaf, constant_precosheaf, precosheaf_from_action
 from doublelift.serialize import dump, dumps, load, loads
-from doublelift.twocat import decorate, suspend
+from doublelift.twocat import StrictBicategory, decorate, suspend
 
 
 def _semidirect_parts():
@@ -153,6 +155,24 @@ def test_cli_folding_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "folding: absent" in out
     assert "framed: false" in out
+
+
+def test_cli_folding_report_on_a_null_monoid(tmp_path, capsys):
+    # Z2 swapping two non-zero elements of the null monoid of size 8 acts
+    # nontrivially on its first non-unit morphism, so absence is proven in
+    # |Aut(A)| = 6! nodes
+    from doublelift.lift import lift
+    from support import null_monoid
+
+    z2, null = Monoid.cyclic(2), null_monoid(8)
+    dec = decorate(delooping(z2), suspend(monoidal_delooping(null)))
+    action = MonoidAction(z2, null, (tuple(range(8)), (0, 1, 2, 3, 4, 5, 7, 6)))
+    dc_path = _write(tmp_path, "null8.json", lift(dec, precosheaf_from_action(dec, action)))
+    assert run(["folding", dc_path]) == 0
+    assert capsys.readouterr().out == (
+        "pass  folding: absent (search exhausted after 720 nodes)\n"
+        "pass  cofolding: absent (search exhausted after 720 nodes)\n"
+        "pass  framed: false\n")
 
 
 def test_cli_adjunction_command(tmp_path, capsys):
@@ -357,22 +377,70 @@ def test_cli_reports_a_file_that_is_not_utf8_as_a_parse_error(tmp_path, capsys):
     assert "first failing law: parse-error" in captured.err
 
 
-def test_cli_lift_validates_the_input_bicategory_only(tmp_path, capsys, monkeypatch):
-    # loading the decorated bicategory and the pre-cosheaf (which carries
-    # its own copy) checks the bicategory laws twice; the lift's
-    # horizontalization is not checked again
-    from doublelift.examples import fixture_by_name
-    from doublelift.twocat import StrictBicategory
+# What each command checks, counted by wrapping check_double_axioms and
+# each class's _validate (__post_init__ where a class has none), in order:
+# axiom suites, categories, functors, bicategories, monoidal categories,
+# monoids, actions, monoid morphisms, pre-cosheaves.  A structure built from
+# checked parts whose laws it copies (a delooping, a suspension, the
+# semidirect monoid, the graded vertical category, a horizontalization) is
+# not checked again, and no command re-reads what it has loaded.
+COUNTED = (
+    ("axiom suites", doublecat, "check_double_axioms"),
+    ("categories", FiniteCategory, "_validate"),
+    ("functors", FunctorData, "_validate"),
+    ("bicategories", StrictBicategory, "_validate"),
+    ("monoidal categories", StrictMonoidalCategory, "__post_init__"),
+    ("monoids", Monoid, "_validate"),
+    ("actions", MonoidAction, "__post_init__"),
+    ("monoid morphisms", MonoidMorphism, "__post_init__"),
+    ("pre-cosheaves", Precosheaf, "_validate"),
+)
 
-    fx = fixture_by_name("semidirect:z3:z2:inv")
-    dec_path = _write(tmp_path, "dec.json", fx.dec)
-    phi_path = _write(tmp_path, "phi.json", fx.phi)
-    calls = []
-    validate = StrictBicategory._validate
-    monkeypatch.setattr(StrictBicategory, "_validate", lambda self: calls.append(1) or validate(self))
-    assert run(["lift", dec_path, phi_path, "-o", str(tmp_path / "dc.json")]) == 0
+
+def _count_inputs(tmp_path):
+    """Input files for the counted commands: Z2 acting on Z3 by inversion as
+    DEC, PHI and their lift, the same on Z5 as a lift, and for Z2 acting on
+    A = Z2 and Z5 the monoid files with the trivial and the inversion
+    pre-cosheaf."""
+    from doublelift.lift import lift
+
+    dec, phi = _semidirect_parts()
+    _write(tmp_path, "dec.json", dec)
+    _write(tmp_path, "phi.json", phi)
+    _write(tmp_path, "lift.json", lift(dec, phi))
+    z2, z5 = Monoid.cyclic(2), Monoid.cyclic(5)
+    for a in (z2, z5):
+        dec = decorate(delooping(z2), suspend(monoidal_delooping(a)))
+        _write(tmp_path, f"z{a.size}.json", a)
+        for name, action in (("triv", MonoidAction.trivial(z2, a)), ("inv", MonoidAction.inversion(a))):
+            _write(tmp_path, f"z{a.size}.{name}.json", precosheaf_from_action(dec, action))
+        if a is z5:
+            _write(tmp_path, "z5.lift.json", lift(dec, precosheaf_from_action(dec, MonoidAction.inversion(a))))
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["lift", "dec.json", "phi.json", "-o", "out.json"], (1, 3, 3, 2, 0, 0, 0, 0, 1)),
+    (["check", "lift.json"], (1, 2, 3, 0, 0, 0, 0, 0, 0)),
+    (["analyze", "lift.json"], (1, 2, 3, 0, 0, 0, 0, 0, 0)),
+    (["folding", "z5.lift.json"], (1, 2, 3, 0, 0, 0, 0, 0, 1)),
+    (["adjunction", "z2.json", "z2.json", "z2.triv.json", "z2.inv.json"], (2, 4, 42, 2, 1, 2, 0, 0, 4)),
+    (["adjunction", "z2.json", "z5.json", "z5.triv.json", "z5.inv.json"], (2, 4, 58, 2, 1, 2, 0, 0, 4)),
+    (["example", "semidirect:z6:z2:triv"], (1, 1, 3, 0, 1, 2, 1, 3, 1)),
+    (["example", "graded:z2:z5:inv"], (1, 3, 3, 0, 2, 3, 2, 4, 1)),
+], ids=["lift", "check", "analyze", "folding", "adjunction:z2", "adjunction:z5",
+        "example:semidirect", "example:graded"])
+def test_cli_law_checks_per_command(tmp_path, capsys, monkeypatch, argv, counts):
+    _count_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    calls = {kind: 0 for kind, _, _ in COUNTED}
+    for kind, owner, name in COUNTED:
+        def counted(*args, _kind=kind, _original=getattr(owner, name), **kwargs):
+            calls[_kind] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    assert run(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 2
+    assert calls == dict(zip(calls, counts))
 
 
 @pytest.mark.parametrize("argv", [

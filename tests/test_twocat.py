@@ -3,15 +3,19 @@ from dataclasses import dataclass
 import pytest
 
 from doublelift.errors import StructureError
+from doublelift.examples import graded_category, twisted_graded_category
 from doublelift.fincat import (
     FiniteCategory,
     Monoid,
+    MonoidAction,
     delooping,
+    enumerate_actions,
     monoidal_delooping,
+    semidirect_product,
 )
 from doublelift.twocat import DecoratedBicategory, StrictBicategory, decorate, suspend
 
-from support import discrete, vertical_category
+from support import checked_rebuild, discrete, klein_four, null_monoid, symmetric_group, vertical_category
 
 
 @dataclass(frozen=True)
@@ -108,3 +112,23 @@ def test_split_cells_with_a_non_endo_1cell():
     assert split.rest_objects == (2,)
     assert split.rest_morphisms == (3,)
     assert split.endo_part.n_morphisms == 3
+
+
+def test_unchecked_constructions_equal_validated_rebuilds(corpus_lifts):
+    # delooping, suspend and semidirect_product copy the laws of their
+    # checked inputs and skip them; the checking constructors must accept
+    # every result
+    monoids = [Monoid.trivial(), Monoid.flag(), klein_four(), null_monoid(4), symmetric_group(3),
+               *(Monoid.cyclic(n) for n in range(1, 7))]
+    commutative = [m for m in monoids if m.is_commutative]
+    z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
+    monoidal = ([monoidal_delooping(m) for m in commutative]
+                + [graded_category(g, h) for g in (z2, z3) for h in (z3, klein_four())]
+                + [twisted_graded_category(z2, h, MonoidAction.inversion(h)) for h in (z3, Monoid.cyclic(4))])
+    values = ([delooping(m) for m in monoids] + [suspend(d) for d in monoidal]
+              + [semidirect_product(n, m, action) for n in commutative if n.size <= 4
+                 for m in monoids if m.size <= 3 for action in enumerate_actions(m, n)]
+              + [v for _, ld in corpus_lifts for v in (ld.dec.decoration, ld.dec.bicat)])
+    for value in values:
+        assert checked_rebuild(value) == value, value
+    assert len(values) > 100
