@@ -14,7 +14,7 @@ from typing import Optional
 
 from .doublecat import DoubleCategory, HKey, decorated_horizontalization, globular_squares
 from .errors import StructureError
-from .fincat import FiniteCategory, FunctorData, Monoid, endomorphism_monoid_of_object, monoid_homomorphisms
+from .fincat import FunctorData, Monoid, endomorphism_monoid_of_object, monoid_homomorphisms
 from .grothendieck import Precosheaf
 from .lift import LiftData, lift_data
 from .twocat import DecoratedBicategory
@@ -63,18 +63,21 @@ def _horizontal_step(c: DoubleCategory, squares: set[int]) -> set[int]:
 
 @dataclass(frozen=True)
 class VerticalChain:
-    """The increasing chain of square subcategories of a double category,
-    starting at the level generated by globular and horizontal identity
-    squares under vertical composition."""
+    """The square sets of the increasing chain of square subcategories of a
+    double category, starting at the level generated by globular and
+    horizontal identity squares under vertical composition."""
 
-    levels: tuple[FiniteCategory, ...]
     level_squares: tuple[tuple[int, ...], ...]
-    stabilization_index: int  # 1-based index of the first repeated level
 
     def __post_init__(self):
         for k in range(1, len(self.level_squares)):
             if not set(self.level_squares[k - 1]) <= set(self.level_squares[k]):
                 raise StructureError("chain-monotonicity", f"level {k} drops squares")
+
+    @property
+    def stabilization_index(self) -> int:
+        """1-based index of the first repeated level."""
+        return len(self.level_squares)
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,7 @@ def gamma_data(c: DoubleCategory) -> GammaData:
                 raise StructureError("restriction-closure", f"pasting ({u}, {v}) -> {w} dropped")
             hcomp[(kind, pos[u], pos[v])] = pos[w]
     dc = DoubleCategory(c.c0, c1, src, tgt, hid, hcomp, validate=False)
-    chain = VerticalChain(
-        tuple(c1.restrict(pos[p] for p in level) for level in levels),
-        tuple(tuple(sorted(pos[p] for p in level)) for level in levels),
-        len(levels),
-    )
+    chain = VerticalChain(tuple(tuple(sorted(pos[p] for p in level)) for level in levels))
     return GammaData(dc, square_ids, chain)
 
 

@@ -6,6 +6,7 @@ named fixtures end to end.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -163,17 +164,16 @@ def cmd_example(args, report: Report) -> None:
             )
         report.info("gg", str(fx.gg).lower())
         return
-    ld = fx.ld
     # building the lift ran the axiom suite and raised on the first failed law
     report.add("axioms", True)
-    gd = gamma_data(ld.dc)
+    gd = gamma_data(fx.dc)
     report.info("vertical-length", str(gd.chain.stabilization_index))
-    report.info("gg", str(gd.dc == ld.dc).lower())
+    report.info("gg", str(gd.dc == fx.dc).lower())
     if isinstance(fx, SemidirectFixture):
         kind = "abelian" if fx.endo_monoid.is_commutative else "non-abelian"
         group = "group" if fx.endo_monoid.is_group() else "monoid"
         report.info("endo-monoid", f"order {fx.endo_monoid.size}, {kind} {group}")
-        result = find_folding(ld.phi)
+        result = find_folding(fx.phi)
         if isinstance(result, Folding):
             report.info("folding", "found")
         elif result.exhausted:
@@ -331,30 +331,44 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 def run(argv=None) -> int:
+    """Run one command line and return its exit status.  A broken pipe ends
+    the run with status 1 and nothing more on stdout or stderr."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-    except ParseExit as exc:
-        status, text = exc.args
-        print(text, file=sys.stderr if status else sys.stdout)
-        return status
-    report = Report()
-    try:
-        args.func(args, report)
-    except StructureError as exc:
-        report.add(exc.law, False, exc.detail)
-    except FileNotFoundError as exc:
-        report.add("file-not-found", False, str(exc))
-    except OSError as exc:
-        report.add("file-error", False, str(exc))
-    print(report.render(args.json))
-    if report.passed:
-        return 0
-    print(f"first failing law: {report.first_failure()}", file=sys.stderr)
-    return 1
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+        except ParseExit as exc:
+            status, text = exc.args
+            print(text, file=sys.stderr if status else sys.stdout)
+            return status
+        report = Report()
+        try:
+            args.func(args, report)
+        except StructureError as exc:
+            report.add(exc.law, False, exc.detail)
+        except FileNotFoundError as exc:
+            report.add("file-not-found", False, str(exc))
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            report.add("file-error", False, str(exc))
+        print(report.render(args.json))
+        if report.passed:
+            return 0
+        print(f"first failing law: {report.first_failure()}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    status = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # on the null device, the interpreter's own flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -32,11 +32,10 @@ from .twocat import DecoratedBicategory, StrictBicategory, decorate, suspend
 
 
 @dataclass(frozen=True)
-class SemidirectFixture:
-    dec: DecoratedBicategory
-    phi: Precosheaf
-    dc: "object"  # DoubleCategory; typed loosely to avoid an import cycle in docs
-    ld: LiftData
+class SemidirectFixture(LiftData):
+    """A semidirect-product lift and its witness: the endomorphism monoid
+    of the horizontal identity 1-cell and its isomorphism with N x| M."""
+
     semidirect: Monoid
     endo_monoid: Monoid
     bijection: tuple[int, ...]  # semidirect element -> endo monoid element
@@ -66,7 +65,8 @@ def build_semidirect_fixture(n: Monoid, m: Monoid, action: MonoidAction) -> Semi
         MonoidMorphism(sd, endo, bij)
     except StructureError as exc:
         raise StructureError("semidirect-isomorphism", f"{exc.law}: {exc.detail}") from None
-    return SemidirectFixture(dec, phi, ld.dc, ld, sd, endo, tuple(bij))
+    return SemidirectFixture(**vars(ld), semidirect=sd, endo_monoid=endo,
+                             bijection=tuple(bij))
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +124,11 @@ def object_fixing_precosheaf(dec: DecoratedBicategory, g: Monoid, h: Monoid,
 
 
 @dataclass(frozen=True)
-class GradedFixture:
-    dec: DecoratedBicategory
-    phi: Precosheaf
-    dc: "object"
-    ld: LiftData
-    vertical: StrictMonoidalCategory
+class GradedFixture(LiftData):
+    """A graded lift and its witness: the twisted graded category that is
+    its vertical monoidal category."""
+
     twisted: StrictMonoidalCategory
-    iso_object_map: tuple[int, ...]
-    iso_morphism_map: tuple[int, ...]
 
 
 def build_graded_fixture(g: Monoid, h: Monoid, action: MonoidAction) -> GradedFixture:
@@ -142,74 +138,48 @@ def build_graded_fixture(g: Monoid, h: Monoid, action: MonoidAction) -> GradedFi
     The vertical monoidal category has the vertical morphisms of the lift
     as objects, the squares sitting on the horizontal unit 1-cell as
     morphisms, horizontal pasting as composition and vertical pasting as
-    tensor product.  It numbers its morphisms enc(x, e) as the twisted
-    graded category does, so the isomorphism is the identity: its tables
-    are compared with the checked twisted category's, and on equality it
-    is that category, so its laws are not checked again.
+    tensor product.  It numbers its morphisms x * |H| + e as the twisted
+    graded category does, which fixes its domains, identities and unit, so
+    only the three tables read off the lift are compared with the checked
+    twisted category's; on equality it is that category.
     """
     if not g.is_group() or not h.is_group():
         raise StructureError("shape-mismatch", "G and H must be groups")
     for f in action.maps:
         if len(set(f)) != h.size:
             raise StructureError("shape-mismatch", "action must be by automorphisms")
-    cgh = graded_category(g, h)
-    b = suspend(cgh)
-    dec = decorate(delooping(g), b)
-    phi = object_fixing_precosheaf(dec, g, h, action)
-    ld = lift_data(dec, phi)
+    dec = decorate(delooping(g), suspend(graded_category(g, h)))
+    ld = lift_data(dec, object_fixing_precosheaf(dec, g, h, action))
 
     nh = h.size
+    # morphism x * nh + e is the square on the unit 1-cell with vertical
+    # side x whose payload is the element e of H at the unit degree
+    squares = [ld.ext.key_index[(m // nh, g.unit, g.unit * nh + m % nh)] for m in range(g.size * nh)]
 
-    def enc(x: int, e: int) -> int:
-        return x * nh + e
-
-    # squares on the unit 1-cell, indexed as (vertical side, element); the
-    # 2-cells on that 1-cell are the elements of H at the unit degree
-    def square(x: int, e: int) -> int:
-        return ld.ext.key_index[(x, g.unit, enc(g.unit, e))]
-
-    def decode(sq: int) -> tuple[int, int]:
+    def decode(sq: int) -> int:
         f, _, payload = ld.ext.triples[sq]
-        return f, payload % nh
+        return f * nh + payload % nh
 
-    dom = tuple(j // nh for j in range(g.size * nh))
-    identity = tuple(enc(x, h.unit) for x in range(g.size))
-    comp = {}
-    tensor_mor = {}
-    for x1 in range(g.size):
-        for e1 in range(nh):
-            for x2 in range(g.size):
-                for e2 in range(nh):
-                    m1, m2 = enc(x1, e1), enc(x2, e2)
-                    if x1 == x2:
-                        paste = ld.dc.hsq(square(x1, e1), square(x2, e2))
-                        comp[(m1, m2)] = enc(*decode(paste))
-                    stack = ld.dc.c1.compose(square(x1, e1), square(x2, e2))
-                    tensor_mor[(m1, m2)] = enc(*decode(stack))
-    base = FiniteCategory(g.size, dom, dom, identity, comp, validate=False)
+    comp, tensor_mor = {}, {}
+    for m1, p in enumerate(squares):
+        for m2, q in enumerate(squares):
+            if m1 // nh == m2 // nh:
+                comp[(m1, m2)] = decode(ld.dc.hsq(p, q))
+            tensor_mor[(m1, m2)] = decode(ld.dc.c1.compose(p, q))
     tensor_obj = {(x, y): ld.dc.c0.compose(x, y) for x in range(g.size) for y in range(g.size)}
     twisted = twisted_graded_category(g, h, action)
-    if (base, g.unit, tensor_obj, tensor_mor) != \
-       (twisted.base, twisted.unit_obj, twisted.tensor_obj, twisted.tensor_mor):
+    if (comp, tensor_mor, tensor_obj) != \
+       (twisted.base.composition, twisted.tensor_mor, twisted.tensor_obj):
         raise StructureError("no-isomorphism",
                              "vertical category is not isomorphic to the twisted category")
-    return GradedFixture(dec, phi, ld.dc, ld, twisted, twisted,
-                         tuple(range(g.size)), tuple(range(g.size * nh)))
+    return GradedFixture(**vars(ld), twisted=twisted)
 
 
 # ---------------------------------------------------------------------------
 # a fixture with two 0-cells and a non-endo 1-cell
 
 
-@dataclass(frozen=True)
-class TwoObjectFixture:
-    dec: DecoratedBicategory
-    phi: Precosheaf
-    dc: "object"
-    ld: LiftData
-
-
-def build_two_object_fixture() -> TwoObjectFixture:
+def build_two_object_fixture() -> LiftData:
     """Two 0-cells a, b; End(a) the suspension of Z2, End(b) trivial, one
     non-endo 1-cell a -> b with only its identity 2-cell; the decoration
     adds one morphism a -> b acting by the forced collapse."""
@@ -243,9 +213,7 @@ def build_two_object_fixture() -> TwoObjectFixture:
     dec = decorate(bstar, b)
     on1 = ({0: 0}, {1: 1}, {0: 1})
     on2 = ({0: 0, 1: 1}, {2: 2}, {0: 2, 1: 2})
-    phi = Precosheaf(dec, on1, on2)
-    ld = lift_data(dec, phi)
-    return TwoObjectFixture(dec, phi, ld.dc, ld)
+    return lift_data(dec, Precosheaf(dec, on1, on2))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +426,7 @@ def fixture_by_name(name: str):
         fiber = _monoid_by_token(parts[2])
         dec = decorate(delooping(bstar), suspend(monoidal_delooping(fiber)))
         phi = constant_precosheaf(dec) if kind == "constant" else identity_precosheaf(dec)
-        ld = lift_data(dec, phi)
-        return TwoObjectFixture(dec, phi, ld.dc, ld)  # same field shape, reused
+        return lift_data(dec, phi)
     if kind == "twoobject" and len(parts) == 1:
         return build_two_object_fixture()
     raise StructureError("unknown-fixture", name)

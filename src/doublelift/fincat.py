@@ -481,7 +481,10 @@ class FunctorData:
 
     @staticmethod
     def identity(cat: FiniteCategory) -> "FunctorData":
-        return FunctorData(cat, cat, tuple(range(cat.n_objects)), tuple(range(cat.n_morphisms)))
+        """The identity functor of ``cat``, which must satisfy the category
+        laws; it is then a functor, so it is not checked."""
+        return FunctorData(cat, cat, tuple(range(cat.n_objects)), tuple(range(cat.n_morphisms)),
+                           validate=False)
 
 
 # ---------------------------------------------------------------------------

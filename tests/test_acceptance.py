@@ -105,14 +105,14 @@ def test_criterion_3_folding_search():
     fx = build_semidirect_fixture(z3, z2, MonoidAction.inversion(z3))
     ok = fx.endo_monoid.size == 6
     ok = ok and fx.endo_monoid.is_group() and not fx.endo_monoid.is_commutative
-    absent = find_folding(fx.ld.phi)
+    absent = find_folding(fx.phi)
     ok = ok and isinstance(absent, SearchCertificate) and absent.exhausted
 
     control = build_semidirect_fixture(z3, z2, MonoidAction.trivial(z2, z3))
-    fold = find_folding(control.ld.phi)
+    fold = find_folding(control.phi)
     ok = ok and isinstance(fold, Folding)
     if isinstance(fold, Folding):
-        validate_folding(control.ld.phi, fold)
+        validate_folding(control.phi, fold)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     _line(3, ok, "endo monoid of i_* is a non-abelian group of order 6, "
@@ -200,7 +200,7 @@ def test_criterion_9_serialization_round_trip(corpus_lifts):
 def test_criterion_10_mutation_robustness():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
     fx = build_semidirect_fixture(z3, z2, MonoidAction.inversion(z3))
-    dc, dec, phi = fx.ld.dc, fx.dec, fx.phi
+    dc, dec, phi = fx.dc, fx.dec, fx.phi
     caught = []
 
     def corrupt(label, expect, thunk):

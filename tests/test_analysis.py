@@ -17,7 +17,8 @@ from doublelift.analysis import (
     vertical_length,
 )
 from doublelift.errors import StructureError
-from doublelift.fincat import FunctorData, Monoid, MonoidAction, delooping
+from doublelift.examples import fixture_by_name
+from doublelift.fincat import FiniteCategory, FunctorData, Monoid, MonoidAction, delooping
 
 from support import discrete, semidirect_lift, trivial_double_category
 
@@ -53,7 +54,9 @@ def test_gg_status_of_the_corpus(corpus_lifts):
 def test_vertical_chain_is_monotone_and_stabilizes(corpus_lifts):
     for tag, ld in corpus_lifts:
         chain = vertical_chain(ld.dc)
-        assert chain.stabilization_index == len(chain.levels), tag
+        squares = gamma(ld.dc).c1
+        for level in chain.level_squares:
+            squares.restrict(level)  # raises unless the level is a subcategory
         for k in range(1, len(chain.level_squares)):
             assert set(chain.level_squares[k - 1]) < set(chain.level_squares[k]), tag
 
@@ -181,7 +184,23 @@ def test_vertical_chain_rejects_a_shrinking_level():
     from doublelift.analysis import VerticalChain
 
     with pytest.raises(StructureError, match="chain-monotonicity"):
-        VerticalChain((), ((0, 1), (0,)), 2)
+        VerticalChain(((0, 1), (0,)))
+
+
+@pytest.mark.parametrize("name", ["semidirect:z3:z2:inv", "graded:z2:z3:inv", "twoobject"])
+def test_gamma_cuts_one_square_category(monkeypatch, name):
+    # the chain keeps square sets only; the one category cut is gamma's own
+    dc = fixture_by_name(name).dc
+    calls = []
+    restrict = FiniteCategory.restrict
+
+    def counted(self, morphisms):
+        calls.append(self)
+        return restrict(self, morphisms)
+
+    monkeypatch.setattr(FiniteCategory, "restrict", counted)
+    gamma_data(dc)
+    assert calls == [dc.c1]
 
 
 def test_non_integer_search_limit_is_a_named_error(monkeypatch):

@@ -1,8 +1,7 @@
-from typing import Optional
-
 import pytest
 from fractions import Fraction
 
+from doublelift import examples
 from doublelift.errors import StructureError
 from doublelift.examples import (
     build_graded_fixture,
@@ -20,34 +19,9 @@ from doublelift.examples import (
     rank,
     twisted_graded_category,
 )
-from doublelift.fincat import (
-    FunctorData,
-    Monoid,
-    MonoidAction,
-    StrictMonoidalCategory,
-    enumerate_actions,
-)
+from doublelift.fincat import Monoid, MonoidAction, enumerate_actions
 
 from support import monoid_isomorphism, relabel, symmetric_group
-
-
-def monoidal_functor_violations(src: StrictMonoidalCategory, tgt: StrictMonoidalCategory,
-                                object_map, morphism_map) -> Optional[tuple[str, str]]:
-    """The first law, with its detail, that the maps break as a strict
-    monoidal functor src -> tgt, or None when they form one."""
-    try:
-        FunctorData(src.base, tgt.base, object_map, morphism_map)
-    except StructureError as exc:
-        return exc.law, exc.detail
-    if object_map[src.unit_obj] != tgt.unit_obj:
-        return "monoidal-unit", "unit object not preserved"
-    for (a, b), c in src.tensor_obj.items():
-        if tgt.tensor_obj[(object_map[a], object_map[b])] != object_map[c]:
-            return "monoidal-tensor", f"objects ({a}, {b})"
-    for (f, g), e in src.tensor_mor.items():
-        if tgt.tensor_mor[(morphism_map[f], morphism_map[g])] != morphism_map[e]:
-            return "monoidal-tensor", f"morphisms ({f}, {g})"
-    return None
 
 
 def test_semidirect_inversion_gives_the_dihedral_monoid():
@@ -96,9 +70,19 @@ def test_graded_categories_validate_and_differ_when_twisted():
 def test_graded_fixture_vertical_category_is_the_twist():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
     fx = build_graded_fixture(z2, z3, MonoidAction.inversion(z3))
-    assert not monoidal_functor_violations(
-        fx.vertical, fx.twisted, fx.iso_object_map, fx.iso_morphism_map)
-    assert len(set(fx.iso_morphism_map)) == len(fx.iso_morphism_map)
+    assert fx.twisted == twisted_graded_category(z2, z3, MonoidAction.inversion(z3))
+
+
+def test_graded_fixture_names_a_lift_that_is_not_the_twist(monkeypatch):
+    # against the untwisted graded category, the tensor of morphisms read
+    # off the lift of the inversion action differs
+    untwisted = examples.twisted_graded_category
+    monkeypatch.setattr(examples, "twisted_graded_category",
+                        lambda g, h, action: untwisted(g, h, MonoidAction.trivial(g, h)))
+    z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
+    with pytest.raises(StructureError, match="no-isomorphism") as info:
+        build_graded_fixture(z2, z3, MonoidAction.inversion(z3))
+    assert info.value.detail == "vertical category is not isomorphic to the twisted category"
 
 
 def test_graded_fixture_with_the_trivial_action():
@@ -113,9 +97,9 @@ def test_graded_fixture_with_the_unit_elsewhere():
     g = Monoid(((1, 0), (0, 1)), 1)
     h = Monoid(((1, 2, 0), (2, 0, 1), (0, 1, 2)), 2)
     inversion = tuple(h.inverse(x) for x in range(3))
-    fx = build_graded_fixture(g, h, MonoidAction(g, h, (inversion, (0, 1, 2))))
-    assert not monoidal_functor_violations(
-        fx.vertical, fx.twisted, fx.iso_object_map, fx.iso_morphism_map)
+    action = MonoidAction(g, h, (inversion, (0, 1, 2)))
+    fx = build_graded_fixture(g, h, action)
+    assert fx.twisted == twisted_graded_category(g, h, action)
     ref = build_graded_fixture(Monoid.cyclic(2), Monoid.cyclic(3),
                                MonoidAction.inversion(Monoid.cyclic(3)))
     assert fx.dc.c1.n_morphisms == ref.dc.c1.n_morphisms
@@ -136,9 +120,7 @@ def test_the_twist_is_on_the_nose():
                     if any(len(set(f)) != nh for f in action.maps):
                         continue
                     fx = build_graded_fixture(g, h, action)
-                    assert fx.vertical == fx.twisted
-                    assert fx.iso_object_map == tuple(range(ng))
-                    assert fx.iso_morphism_map == tuple(range(ng * nh))
+                    assert fx.twisted == twisted_graded_category(g, h, action)
                     fixtures += 1
     assert fixtures == 84
 
@@ -146,11 +128,11 @@ def test_the_twist_is_on_the_nose():
 def test_two_object_fixture_lifts():
     fx = build_two_object_fixture()
     assert fx.dec.bicat.n0 == 2
-    assert fx.ld.dc.c1.n_objects == 3
+    assert fx.dc.c1.n_objects == 3
     # exactly one non-globular square: the decoration morphism a -> b with
     # the single payload at i_b
-    pairs = [p for p in range(fx.ld.dc.c1.n_morphisms)
-             if fx.ld.ext.pair_info[p] is not None]
+    pairs = [p for p in range(fx.dc.c1.n_morphisms)
+             if fx.ext.pair_info[p] is not None]
     assert len(pairs) == 1
 
 
@@ -201,7 +183,7 @@ def test_fixture_by_name_round_trips():
     assert fx.endo_monoid.size == 6
     assert fixture_by_name("mat:4").nmax == 4
     assert fixture_by_name("twoobject").dec.bicat.n0 == 2
-    assert fixture_by_name("constant:flag:z3").ld.dc.c1.n_morphisms == 6
+    assert fixture_by_name("constant:flag:z3").dc.c1.n_morphisms == 6
     with pytest.raises(StructureError, match="unknown-fixture"):
         fixture_by_name("nonsense")
     with pytest.raises(StructureError, match="unknown-fixture"):

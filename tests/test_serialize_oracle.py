@@ -74,7 +74,7 @@ def test_writer_matches_the_reference_on_the_corpus(corpus_lifts):
 
 @pytest.mark.parametrize("name", ["semidirect:z3:z7:triv", "graded:z3:z5:triv"])
 def test_writer_matches_the_reference_on_larger_lifts(name):
-    for value in _parts(fixture_by_name(name).ld):
+    for value in _parts(fixture_by_name(name)):
         assert dumps(value) == reference(value), type(value).__name__
 
 
