@@ -98,7 +98,8 @@ def cmd_lift(args, report: Report) -> None:
             fh.write(text)
         report.info("written", args.output)
     else:
-        print(text, end="")
+        # flushed now, so that a closed stdout ends the run before the report
+        print(text, end="", flush=True)
 
 
 def cmd_analyze(args, report: Report) -> None:
@@ -331,8 +332,9 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 def run(argv=None) -> int:
-    """Run one command line and return its exit status.  A broken pipe ends
-    the run with status 1 and nothing more on stdout or stderr."""
+    """Run one command line and return its exit status.  The report goes to
+    stdout, or to stderr when ``lift`` writes the lift there.  A broken pipe
+    ends the run with status 1 and nothing more on stdout or stderr."""
     try:
         try:
             args = parse_args(sys.argv[1:] if argv is None else argv)
@@ -351,7 +353,9 @@ def run(argv=None) -> int:
             raise
         except OSError as exc:
             report.add("file-error", False, str(exc))
-        print(report.render(args.json))
+        # a lift written to stdout keeps stdout to itself
+        lifted = args.command == "lift" and not args.output
+        print(report.render(args.json), file=sys.stderr if lifted else sys.stdout)
         if report.passed:
             return 0
         print(f"first failing law: {report.first_failure()}", file=sys.stderr)

@@ -175,9 +175,6 @@ class MonoidMorphism:
                 if mapping[src.mul(x, y)] != tgt.mul(mapping[x], mapping[y]):
                     raise StructureError("product-preservation", f"({x}, {y})")
 
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
 
 @dataclass(frozen=True)
 class MonoidAction:

@@ -18,12 +18,6 @@ from .fincat import FunctorData
 from .grothendieck import ExtendedTotal, Precosheaf, extended_total
 from .twocat import DecoratedBicategory, check_monoidal_map
 
-__all__ = [
-    "LiftData", "lift", "lift_data",
-    "PrecosheafMap", "lift_functor", "square_triple",
-]
-
-
 @dataclass(frozen=True)
 class LiftData:
     """A lifted double category together with its construction data.
@@ -160,7 +154,9 @@ def lift_functor(eta: PrecosheafMap, src_ld: LiftData, tgt_ld: LiftData) -> Doub
     pre-cosheaf map, which the caller passes in.
 
     It is the identity on the decoration, on non-endo cells, and on the
-    1-cell part only when the components fix all endo 1-cells.
+    1-cell part only when the components fix all endo 1-cells.  Lifting is
+    functorial in the pre-cosheaf: a checked map between checked lifts
+    gives a double functor by construction, so it is not checked again.
     """
     if src_ld.phi != eta.phi or tgt_ld.phi != eta.psi:
         raise StructureError("wiring", "lifts are not those of the map's source and target")
@@ -190,7 +186,6 @@ def lift_functor(eta: PrecosheafMap, src_ld: LiftData, tgt_ld: LiftData) -> Doub
             mor_map.append(tgt_ld.ext.key_index[(f, eta.comp1[a][x], eta.comp2[bb][payload])])
 
     f0 = FunctorData.identity(bstar)
-    f1 = FunctorData(src_ld.ext.cat, tgt_ld.ext.cat, tuple(obj_map), tuple(mor_map))
-    df = DoubleFunctor(f0, f1)
-    df.check(src_ld.dc, tgt_ld.dc)
-    return df
+    f1 = FunctorData(src_ld.ext.cat, tgt_ld.ext.cat, tuple(obj_map), tuple(mor_map),
+                     validate=False)
+    return DoubleFunctor(f0, f1)

@@ -2,6 +2,7 @@ import pytest
 
 import doublelift.adjoint
 import doublelift.doublecat
+import doublelift.fincat
 from doublelift.adjoint import (
     check_triangle_identities,
     enumerate_precosheaf_maps,
@@ -13,7 +14,7 @@ from doublelift.adjoint import (
 from doublelift.errors import StructureError
 from doublelift.fincat import Monoid, MonoidAction, delooping, enumerate_actions
 
-from support import action_precosheaves, discrete, semidirect_lift, trivial_double_category
+from support import action_precosheaves, discrete, null_monoid, semidirect_lift, trivial_double_category
 
 
 def test_extract_phi_round_trips_on_lifts():
@@ -109,3 +110,38 @@ def test_triangle_check_lifts_and_checks_each_action_once(monkeypatch):
     actions = [MonoidAction.trivial(z2, z5), MonoidAction.inversion(z5)]
     assert all(ok for _, ok, _ in check_triangle_identities(action_precosheaves(z2, z5, actions)))
     assert calls == {"lift_data": 2, "check_double_axioms": 2}
+
+
+def test_triangle_check_budget_counts_pairs_times_endomorphisms(monkeypatch):
+    # Z2 acting on Z3 trivially and by inversion: 2 x 2 ordered pairs of
+    # pre-cosheaves times 3 endomorphisms of Z3 make 12 candidates
+    z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
+    phis = action_precosheaves(z2, z3, [MonoidAction.trivial(z2, z3), MonoidAction.inversion(z3)])
+    monkeypatch.delenv("DOUBLELIFT_SEARCH_LIMIT", raising=False)
+    full = check_triangle_identities(phis)
+    assert len(full) == 6 + 8 and all(ok for _, ok, _ in full)
+    monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "12")
+    assert check_triangle_identities(phis) == full
+    monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "11")
+    assert check_triangle_identities(phis) == (
+        *full[:6], ("naturality", False, "inconclusive (budget 11 exceeded)"))
+
+
+def test_triangle_check_budget_bounds_the_endomorphisms_drawn(monkeypatch):
+    drawn = []
+    original = doublelift.fincat.monoid_homomorphisms
+
+    def counted(*args, **kwargs):
+        for hom in original(*args, **kwargs):
+            drawn.append(hom)
+            yield hom
+    monkeypatch.setattr(doublelift.fincat, "monoid_homomorphisms", counted)
+    monkeypatch.setattr(doublelift.adjoint, "monoid_homomorphisms", counted)
+    monkeypatch.setenv("DOUBLELIFT_SEARCH_LIMIT", "1000")
+    z2, a = Monoid.cyclic(2), null_monoid(8)
+    triv = MonoidAction.trivial(z2, a)
+    entries = check_triangle_identities(action_precosheaves(z2, a, [triv, triv]))
+    assert entries[-1] == ("naturality", False, "inconclusive (budget 1000 exceeded)")
+    assert len(entries) == 7 and all(ok for _, ok, _ in entries[:6])
+    # 2 x 2 ordered pairs: floor(1000 / 4) + 1 endomorphisms decide it
+    assert 0 < len(drawn) <= 251

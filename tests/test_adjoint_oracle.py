@@ -38,12 +38,13 @@ from doublelift.adjoint import (
 from doublelift.analysis import gamma_data
 from doublelift.doublecat import DoubleFunctor, decorated_horizontalization, globular_squares
 from doublelift.errors import StructureError
+from doublelift.examples import fixture_by_name
 from doublelift.fincat import FunctorData, Monoid, delooping, enumerate_actions, monoidal_delooping
 from doublelift.grothendieck import Precosheaf, precosheaf_from_action
 from doublelift.lift import PrecosheafMap, lift_data, lift_functor
 from doublelift.twocat import decorate, suspend
 
-from support import action_precosheaves, compose_double_functors, klein_four
+from support import action_precosheaves, checked_rebuild, compose_double_functors, klein_four, null_monoid
 
 
 def oracle_precosheaf_maps(phi, psi):
@@ -222,6 +223,44 @@ def test_lift_functor_rejects_lifts_of_other_precosheaves(lift_families):
         lift_functor(eta, lds[0], lds[1])
     with pytest.raises(StructureError, match="wiring"):
         lift_functor(eta, lds[1], lds[0])
+
+
+def _sweep():
+    """(map, source lift, target lift) for every pre-cosheaf map between the
+    actions of Z2, Z3, Z4 and the flag monoid on Z1-Z6, V4, the flag monoid
+    and the null monoid of size 5, then the identity map of two fixtures
+    with more than one 0-cell or a constant pre-cosheaf."""
+    acting = [Monoid.cyclic(2), Monoid.cyclic(3), Monoid.cyclic(4), Monoid.flag()]
+    targets = [Monoid.cyclic(n) for n in range(1, 7)] + [klein_four(), Monoid.flag(), null_monoid(5)]
+    for g, a in itertools.product(acting, targets):
+        dec = decorate(delooping(g), suspend(monoidal_delooping(a)))
+        lds = [lift_data(dec, precosheaf_from_action(dec, action))
+               for action in enumerate_actions(g, a)]
+        for ld1, ld2 in itertools.product(lds, repeat=2):
+            for eta in enumerate_precosheaf_maps(ld1.phi, ld2.phi):
+                yield eta, ld1, ld2
+    for name in ("twoobject", "constant:flag:z3"):
+        ld = fixture_by_name(name)
+        yield PrecosheafMap.identity(ld.phi), ld, ld
+
+
+def test_unchecked_lifted_functors_equal_their_checked_build(monkeypatch):
+    # lift_functor checks nothing: a checked map between checked lifts
+    # gives a double functor by construction, which the checks confirm
+    sweep = list(_sweep())
+    validate, check = FunctorData._validate, DoubleFunctor.check
+    calls = []
+    monkeypatch.setattr(FunctorData, "_validate", lambda self: calls.append("validate"))
+    monkeypatch.setattr(DoubleFunctor, "check", lambda self, c, d: calls.append("check"))
+    built = [(lift_functor(eta, ld1, ld2), ld1, ld2) for eta, ld1, ld2 in sweep]
+    assert calls == []
+    monkeypatch.setattr(FunctorData, "_validate", validate)
+    monkeypatch.setattr(DoubleFunctor, "check", check)
+    for got, ld1, ld2 in built:
+        want = DoubleFunctor(FunctorData.identity(ld1.dec.decoration), checked_rebuild(got.f1))
+        want.check(ld1.dc, ld2.dc)
+        assert got == want
+    assert len(built) == 6614
 
 
 @pytest.mark.parametrize("gname", ACTING)
