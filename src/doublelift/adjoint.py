@@ -91,16 +91,22 @@ def phi_of_double_functor(f: DoubleFunctor, c: DoubleCategory, d: DoubleCategory
     ident = tuple(range(c.c0.n_morphisms))
     if f.f0.object_map != (0,) or f.f0.morphism_map != ident:
         raise StructureError("base-not-identity", "double functor must fix the decoration")
-    return _globular_map(f, c, d, extract_phi(c), extract_phi(d))
+    return _globular_map(f, _globular(c)[0], _globular(d)[1], extract_phi(c), extract_phi(d))
 
 
-def _globular_map(f: DoubleFunctor, c: DoubleCategory, d: DoubleCategory,
+def _globular(c: DoubleCategory) -> tuple[list[int], dict[int, int]]:
+    """The globular squares of ``c`` in ascending order, and the position
+    of each in that order."""
+    glob = sorted(globular_squares(c))
+    return glob, {p: i for i, p in enumerate(glob)}
+
+
+def _globular_map(f: DoubleFunctor, glob_c: list[int], pos_d: dict[int, int],
                   phi_c: Precosheaf, phi_d: Precosheaf) -> PrecosheafMap:
     """phi_of_double_functor for a functor that fixes the decoration, given
-    the pre-cosheaves extracted from c and d."""
-    glob_c = sorted(globular_squares(c))
-    glob_d = sorted(globular_squares(d))
-    pos_d = {p: i for i, p in enumerate(glob_d)}
+    the globular squares of its source c and their positions in its
+    target d (see ``_globular``) and the pre-cosheaves extracted from c
+    and d."""
     comp2 = {}
     for i, p in enumerate(glob_c):
         image = f.f1.morphism_map[p]
@@ -149,10 +155,10 @@ def check_triangle_identities(phis: list[Precosheaf]) -> tuple[tuple[str, bool, 
     budget, the naturality entries are replaced by one failed entry that
     says so; End(A) is drawn only until the count exceeds the budget."""
     entries: list[tuple[str, bool, str]] = []
-    # each lift with the square map of its comparison functor and its
-    # extracted pre-cosheaf, built once and reused below; both functors
-    # passed to _globular_map are the identity on the decoration
-    lifts: list[tuple[LiftData, tuple[int, ...], Precosheaf]] = []
+    # each lift with the square map of its comparison functor, its
+    # extracted pre-cosheaf and its globular squares, built once and reused
+    # below; every functor passed to _globular_map fixes the decoration
+    lifts = []
     for i, phi in enumerate(phis):
         ld = lift_data(phi.dec, phi)
 
@@ -162,12 +168,13 @@ def check_triangle_identities(phis: list[Precosheaf]) -> tuple[tuple[str, bool, 
 
         # pi_functor(ld.dc): when the round trip holds, its lift of recovered is ld
         pi = _comparison(ld.dc, ld if ok else lift_data(recovered.dec, recovered))
-        lifts.append((ld, pi.f1.morphism_map, recovered))
+        glob, pos = _globular(ld.dc)
+        lifts.append((ld, pi.f1.morphism_map, recovered, glob, pos))
         ident1 = tuple(range(ld.dc.c1.n_morphisms))
         ok = pi.f1.morphism_map == ident1 and pi.f1.object_map == (0,)
         entries.append((f"pi-identity[{i}]", ok, "pi on a lift is the identity"))
 
-        eta = _globular_map(pi, ld.dc, ld.dc, recovered, recovered)
+        eta = _globular_map(pi, glob, pos, recovered, recovered)
         ident2 = {x: x for x in range(phi.dec.bicat.n2)}
         ok = eta.comp2[0] == ident2
         entries.append((f"phi-of-pi-identity[{i}]", ok, "extracted map of pi is the identity"))
@@ -182,11 +189,11 @@ def check_triangle_identities(phis: list[Precosheaf]) -> tuple[tuple[str, bool, 
             return tuple(entries)
 
     # naturality of pi for every map f: f . pi_i == pi_j . L(back), compared on squares
-    for i, (ld1, pi1, phi1) in enumerate(lifts):
-        for j, (ld2, pi2, phi2) in enumerate(lifts):
+    for i, (ld1, pi1, phi1, glob1, _) in enumerate(lifts):
+        for j, (ld2, pi2, phi2, _, pos2) in enumerate(lifts):
             for k, eta in enumerate(enumerate_precosheaf_maps(ld1.phi, ld2.phi)):
                 f = lift_functor(eta, ld1, ld2)
-                back = _globular_map(f, ld1.dc, ld2.dc, phi1, phi2)
+                back = _globular_map(f, glob1, pos2, phi1, phi2)
                 lifted_back = lift_functor(back, ld1, ld2).f1.morphism_map
                 ok = [f.f1.morphism_map[p] for p in pi1] == [pi2[p] for p in lifted_back]
                 entries.append((f"naturality[{i},{j},{k}]", ok,

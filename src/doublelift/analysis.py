@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, replace
-from typing import Optional
 
 from .doublecat import DoubleCategory, HKey, decorated_horizontalization, globular_squares
 from .errors import StructureError
-from .fincat import FunctorData, Monoid, endomorphism_monoid_of_object, monoid_homomorphisms
+from .fincat import Frozen, FunctorData, Monoid, endomorphism_monoid_of_object, monoid_homomorphisms
 from .grothendieck import Precosheaf
 from .lift import LiftData, lift_data
 from .twocat import DecoratedBicategory
@@ -61,18 +59,18 @@ def _horizontal_step(c: DoubleCategory, squares: set[int]) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class VerticalChain:
+class VerticalChain(Frozen):
     """The square sets of the increasing chain of square subcategories of a
     double category, starting at the level generated by globular and
     horizontal identity squares under vertical composition."""
 
-    level_squares: tuple[tuple[int, ...], ...]
+    _fields = ("level_squares",)
 
-    def __post_init__(self):
-        for k in range(1, len(self.level_squares)):
-            if not set(self.level_squares[k - 1]) <= set(self.level_squares[k]):
+    def __init__(self, level_squares: tuple[tuple[int, ...], ...]):
+        for k in range(1, len(level_squares)):
+            if not set(level_squares[k - 1]) <= set(level_squares[k]):
                 raise StructureError("chain-monotonicity", f"level {k} drops squares")
+        vars(self).update(level_squares=level_squares)
 
     @property
     def stabilization_index(self) -> int:
@@ -80,11 +78,13 @@ class VerticalChain:
         return len(self.level_squares)
 
 
-@dataclass(frozen=True)
-class GammaData:
-    dc: DoubleCategory
-    square_ids: tuple[int, ...]  # new square id -> square id in the input
-    chain: VerticalChain  # levels in the square ids of dc
+class GammaData(Frozen):
+    """A sub-double category, the input id of each square, and its chain."""
+
+    _fields = ("dc", "square_ids", "chain")
+
+    def __init__(self, dc: DoubleCategory, square_ids: tuple[int, ...], chain: VerticalChain):
+        vars(self).update(dc=dc, square_ids=square_ids, chain=chain)
 
 
 def gamma_data(c: DoubleCategory) -> GammaData:
@@ -153,7 +153,7 @@ def vertical_length(c: DoubleCategory) -> int:
 # first-level membership for squares of a lift
 
 
-def v1_membership(ld: LiftData, square: int) -> tuple[bool, Optional[tuple[int, int]]]:
+def v1_membership(ld: LiftData, square: int) -> tuple[bool, tuple[int, int] | None]:
     """Decide whether a pair square (f, phi) lies in the first chain level.
 
     The search looks for a factorization through the horizontal identity of
@@ -192,24 +192,25 @@ def v1_membership(ld: LiftData, square: int) -> tuple[bool, Optional[tuple[int, 
 # foldings and cofoldings of single-object lifts
 
 
-@dataclass(frozen=True)
-class Folding:
+class Folding(Frozen):
     """A compatible family of bijections from squares with vertical sides m
     to globular squares, one per vertical morphism, over the trivial
     holonomy.  ``payload_maps[m]`` maps square payloads (elements of the
     globular monoid A) to payloads."""
 
-    payload_maps: tuple[tuple[int, ...], ...]
-    cofolding: bool = False
+    _fields = ("payload_maps", "cofolding")
+
+    def __init__(self, payload_maps: tuple[tuple[int, ...], ...], cofolding: bool = False):
+        vars(self).update(payload_maps=payload_maps, cofolding=cofolding)
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
-    """Outcome of an exhausted or aborted folding search."""
+class SearchCertificate(Frozen):
+    """Outcome of an exhausted (absence proven) or aborted folding search."""
 
-    exhausted: bool  # True: the whole space was searched, absence is proven
-    nodes: int
-    limit: int
+    _fields = ("exhausted", "nodes", "limit")
+
+    def __init__(self, exhausted: bool, nodes: int, limit: int):
+        vars(self).update(exhausted=exhausted, nodes=nodes, limit=limit)
 
     @property
     def inconclusive(self) -> bool:
@@ -306,10 +307,10 @@ def find_cofolding(phi: Precosheaf):
     commutative globular monoids accepted here that is the folding law, so
     this is find_folding's result, marked as a cofolding when found."""
     result = find_folding(phi)
-    return replace(result, cofolding=True) if isinstance(result, Folding) else result
+    return Folding(result.payload_maps, cofolding=True) if isinstance(result, Folding) else result
 
 
-def framed_flag(phi: Precosheaf) -> Optional[bool]:
+def framed_flag(phi: Precosheaf) -> bool | None:
     """True when both a folding and a cofolding exist, False when they are
     proven absent, None when the budget was exceeded.  One answer decides
     both, since a cofolding is a folding here."""

@@ -8,9 +8,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from types import SimpleNamespace
-from typing import Callable, Optional
 
 from . import serialize
 from .adjoint import check_triangle_identities, group_decoration
@@ -23,7 +22,7 @@ from .examples import (
     SemidirectFixture,
     fixture_by_name,
 )
-from .fincat import Monoid
+from .fincat import Frozen, Monoid
 from .grothendieck import Precosheaf
 from .lift import lift
 from .twocat import DecoratedBicategory
@@ -185,18 +184,18 @@ def cmd_example(args, report: Report) -> None:
         report.info("twist-isomorphism", "verified")
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Frozen):
     """One subcommand of the command line: its handler, its help line, the
     names of its positional arguments (with ``many`` the last one takes one
     or more values), and its options as (short, long, metavar, help)
     tuples, each storing one value under its long name."""
 
-    func: Callable[[SimpleNamespace, Report], None]
-    help: str
-    positionals: tuple[str, ...]
-    many: bool = False
-    options: tuple[tuple[str, str, str, str], ...] = ()
+    _fields = ("func", "help", "positionals", "many", "options")
+
+    def __init__(self, func: Callable[[SimpleNamespace, Report], None], help: str,
+                 positionals: tuple[str, ...], many: bool = False,
+                 options: tuple[tuple[str, str, str, str], ...] = ()):
+        vars(self).update(func=func, help=help, positionals=positionals, many=many, options=options)
 
 
 COMMANDS = {
@@ -218,7 +217,7 @@ class ParseExit(Exception):
     text for stdout, or 2 with a usage error for stderr."""
 
 
-def _usage(name: Optional[str]) -> str:
+def _usage(name: str | None) -> str:
     if name is None:
         return "usage: doublelift [-h] [--json] {" + ",".join(COMMANDS) + "} ..."
     cmd = COMMANDS[name]
@@ -235,7 +234,7 @@ def _table(title: str, rows) -> str:
     return "\n".join([f"{title}:"] + [f"  {left:<{width}}{right}" for left, right in rows])
 
 
-def _help(name: Optional[str]) -> str:
+def _help(name: str | None) -> str:
     if name is None:
         blocks = [
             "Finite double categories lifted from decorated bicategories.",
@@ -251,7 +250,7 @@ def _help(name: Optional[str]) -> str:
     return "\n\n".join([_usage(name)] + blocks)
 
 
-def _error(name: Optional[str], message: str) -> ParseExit:
+def _error(name: str | None, message: str) -> ParseExit:
     return ParseExit(2, f"{_usage(name)}\ndoublelift: error: {message}")
 
 
@@ -270,7 +269,7 @@ def parse_args(argv) -> SimpleNamespace:
     or unrecognized arguments.
     """
     args = SimpleNamespace(json=False)
-    name: Optional[str] = None
+    name: str | None = None
     pending: list[str] = []     # positionals still to fill, in order
     extend = False              # positionals join the many-valued one until an option
     unrecognized: list[str] = []

@@ -15,33 +15,27 @@ order, defined exactly when ``tgt(p) == src(q)``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from .errors import StructureError
-from .fincat import FiniteCategory, FunctorData, associativity_failure, interchange_failure, op_rows
+from .fincat import FiniteCategory, Frozen, FunctorData, associativity_failure, interchange_failure, op_rows
 from .twocat import DecoratedBicategory, StrictBicategory
 
 HKey = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class DoubleCategory:
-    c0: FiniteCategory
-    c1: FiniteCategory
-    src: FunctorData
-    tgt: FunctorData
-    hid: FunctorData
-    hcomp: Mapping[HKey, int]
-    validate: InitVar[bool] = True
+class DoubleCategory(Frozen):
+    _fields = ("c0", "c1", "src", "tgt", "hid", "hcomp")
 
-    def __post_init__(self, validate: bool):
-        object.__setattr__(self, "hcomp", dict(self.hcomp))
-        if validate:
-            report = check_double_axioms(self)
-            for law, ok, witness in report:
-                if not ok:
-                    raise StructureError(law, repr(witness))
+    def __init__(self, c0: FiniteCategory, c1: FiniteCategory, src: FunctorData, tgt: FunctorData,
+                 hid: FunctorData, hcomp: Mapping[HKey, int], validate: bool = True):
+        vars(self).update(c0=c0, c1=c1, src=src, tgt=tgt, hid=hid, hcomp=dict(hcomp))
+        self.__post_init__(validate)
+
+    def _validate(self):
+        for law, ok, witness in check_double_axioms(self):
+            if not ok:
+                raise StructureError(law, repr(witness))
 
     def hob(self, x: int, y: int) -> int:
         return self.hcomp[("ob", x, y)]
@@ -88,7 +82,7 @@ def composable_pair_groups(c: DoubleCategory) -> list[list[tuple[int, int]]]:
     return groups
 
 
-def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tuple]]]:
+def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, tuple | None]]:
     """Run the full strict double-category axiom suite.
 
     Returns one entry per law: (law name, passed, first counterexample).
@@ -99,9 +93,9 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tup
     since the equational laws need every pasting they name to exist.
     """
     c0, c1 = c.c0, c.c1
-    report: list[tuple[str, bool, Optional[tuple]]] = []
+    report: list[tuple[str, bool, tuple | None]] = []
 
-    def record(law: str, witness: Optional[tuple]):
+    def record(law: str, witness: tuple | None):
         report.append((law, witness is None, witness))
 
     def first(gen):
@@ -245,10 +239,11 @@ def decorated_horizontalization(c: DoubleCategory) -> DecoratedBicategory:
     return DecoratedBicategory(c.c0, horizontalization(c))
 
 
-@dataclass(frozen=True)
-class DoubleFunctor:
-    f0: FunctorData
-    f1: FunctorData
+class DoubleFunctor(Frozen):
+    _fields = ("f0", "f1")
+
+    def __init__(self, f0: FunctorData, f1: FunctorData):
+        vars(self).update(f0=f0, f1=f1)
 
     def check(self, c: DoubleCategory, d: DoubleCategory) -> None:
         """Exhaustively verify compatibility with src, tgt, hid and hcomp."""
@@ -279,25 +274,18 @@ class DoubleFunctor:
                     raise StructureError("double-functor-hcomp", f"squares ({u}, {v})")
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Frozen):
     """A square of a lifted double category in the (f, g, payload) shape.
 
     The vertical sides f and g of such a square are either both identities
     (a 2-cell of the underlying bicategory) or equal.
     """
 
-    f: int
-    g: int
-    payload: int
-    top: int
-    bottom: int
-    f_is_identity: bool
-    g_is_identity: bool
+    _fields = ("f", "g", "payload", "top", "bottom", "f_is_identity", "g_is_identity")
 
-    def __post_init__(self):
-        if not self.f_is_identity and not self.g_is_identity and self.f != self.g:
-            raise StructureError(
-                "square-shape",
-                f"non-identity vertical sides differ: {self.f} vs {self.g}",
-            )
+    def __init__(self, f: int, g: int, payload: int, top: int, bottom: int, f_is_identity: bool,
+                 g_is_identity: bool):
+        if not f_is_identity and not g_is_identity and f != g:
+            raise StructureError("square-shape", f"non-identity vertical sides differ: {f} vs {g}")
+        vars(self).update(f=f, g=g, payload=payload, top=top, bottom=bottom,
+                          f_is_identity=f_is_identity, g_is_identity=g_is_identity)

@@ -6,13 +6,12 @@ a hand-built two-object fixture, and the bounded matrix slice whose square
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import StructureError
 from .fincat import (
     FiniteCategory,
+    Frozen,
     Monoid,
     MonoidAction,
     MonoidMorphism,
@@ -31,14 +30,17 @@ from .twocat import DecoratedBicategory, StrictBicategory, decorate, suspend
 # semidirect products
 
 
-@dataclass(frozen=True)
 class SemidirectFixture(LiftData):
     """A semidirect-product lift and its witness: the endomorphism monoid
-    of the horizontal identity 1-cell and its isomorphism with N x| M."""
+    of the horizontal identity 1-cell and its isomorphism ``bijection``
+    with N x| M."""
 
-    semidirect: Monoid
-    endo_monoid: Monoid
-    bijection: tuple[int, ...]  # semidirect element -> endo monoid element
+    _fields = LiftData._fields + ("semidirect", "endo_monoid", "bijection")
+
+    def __init__(self, dec, phi, ext, dc, semidirect: Monoid, endo_monoid: Monoid,
+                 bijection: tuple[int, ...]):
+        vars(self).update(dec=dec, phi=phi, ext=ext, dc=dc, semidirect=semidirect,
+                          endo_monoid=endo_monoid, bijection=bijection)
 
 
 def build_semidirect_fixture(n: Monoid, m: Monoid, action: MonoidAction) -> SemidirectFixture:
@@ -123,12 +125,14 @@ def object_fixing_precosheaf(dec: DecoratedBicategory, g: Monoid, h: Monoid,
     return Precosheaf(dec, on1, on2)
 
 
-@dataclass(frozen=True)
 class GradedFixture(LiftData):
     """A graded lift and its witness: the twisted graded category that is
     its vertical monoidal category."""
 
-    twisted: StrictMonoidalCategory
+    _fields = LiftData._fields + ("twisted",)
+
+    def __init__(self, dec, phi, ext, dc, twisted: StrictMonoidalCategory):
+        vars(self).update(dec=dec, phi=phi, ext=ext, dc=dc, twisted=twisted)
 
 
 def build_graded_fixture(g: Monoid, h: Monoid, action: MonoidAction) -> GradedFixture:
@@ -274,7 +278,7 @@ def rank(m: Matrix) -> int:
     return r
 
 
-def proportional_tensor_square(v: tuple[Fraction, ...]) -> Optional[tuple[Fraction, ...]]:
+def proportional_tensor_square(v: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
     """A vector w with v proportional to w (x) w, if one exists.
 
     Reshaped to an n x n matrix, a tensor square is a symmetric rank-one
@@ -299,20 +303,22 @@ def proportional_tensor_square(v: tuple[Fraction, ...]) -> Optional[tuple[Fracti
     return tuple(Fraction(0) for _ in range(n))
 
 
-@dataclass(frozen=True)
-class MatSquareDecision:
-    vertical_side: int
-    dimension: int
-    payload_rank: int
-    in_v1: bool
-    witness: Optional[tuple[Matrix, Matrix]]  # (psi row block, eta column)
-    reason: str
+class MatSquareDecision(Frozen):
+    """A matrix-slice square's membership in V1; witness: (psi row block, eta column)."""
+
+    _fields = ("vertical_side", "dimension", "payload_rank", "in_v1", "witness", "reason")
+
+    def __init__(self, vertical_side: int, dimension: int, payload_rank: int, in_v1: bool,
+                 witness: tuple[Matrix, Matrix] | None, reason: str):
+        vars(self).update(vertical_side=vertical_side, dimension=dimension,
+                          payload_rank=payload_rank, in_v1=in_v1, witness=witness, reason=reason)
 
 
-@dataclass(frozen=True)
-class MatReport:
-    nmax: int
-    decisions: tuple[MatSquareDecision, ...]
+class MatReport(Frozen):
+    _fields = ("nmax", "decisions")
+
+    def __init__(self, nmax: int, decisions: tuple[MatSquareDecision, ...]):
+        vars(self).update(nmax=nmax, decisions=decisions)
 
     @property
     def gg(self) -> bool:

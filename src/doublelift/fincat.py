@@ -15,11 +15,45 @@ Composition conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
-from operator import itemgetter
-from typing import Iterator, Mapping, Optional
+from collections.abc import Iterator, Mapping
+from operator import attrgetter, itemgetter
 
 from .errors import StructureError
+
+
+class Frozen:
+    """Base of the package's structures: immutable, and equal only to an
+    instance of the same class with equal ``_fields``, which hashing and
+    ``repr`` also read.  Each ``__init__`` stores the fields and metadata
+    such as names; a checked one ends with ``self.__post_init__(validate)``,
+    which runs the class's laws in ``_validate``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls._fields)
+
+    def __post_init__(self, validate: bool = True):
+        if validate:
+            self._validate()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +73,7 @@ def op_rows(n: int, entries) -> list[tuple[int, ...]]:
     return [tuple(row) for row in rows]
 
 
-def associativity_failure(rows, pairs) -> Optional[tuple[int, int, int]]:
+def associativity_failure(rows, pairs) -> tuple[int, int, int] | None:
     """The first ``(x, y, z)`` with ``(x y) z != x (y z)`` in the row table
     ``rows`` (see ``op_rows``), taking ``pairs`` in order and ``z``
     ascending.
@@ -57,7 +91,7 @@ def associativity_failure(rows, pairs) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def interchange_failure(vrows, hrows, vpairs, groups) -> Optional[tuple[int, int, int, int]]:
+def interchange_failure(vrows, hrows, vpairs, groups) -> tuple[int, int, int, int] | None:
     """The first ``(q, p, q2, p2)`` with ``(q * q2) . (p * p2) !=
     (q . p) * (q2 . p2)``, where ``.`` is the operation of the row table
     ``vrows`` and ``*`` that of ``hrows`` (see ``op_rows``).
@@ -78,17 +112,13 @@ def interchange_failure(vrows, hrows, vpairs, groups) -> Optional[tuple[int, int
 # monoids
 
 
-@dataclass(frozen=True)
-class Monoid:
-    table: tuple[tuple[int, ...], ...]
-    unit: int = 0
-    names: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    validate: InitVar[bool] = True
+class Monoid(Frozen):
+    _fields = ("table", "unit")
 
-    def __post_init__(self, validate: bool):
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        if validate:
-            self._validate()
+    def __init__(self, table, unit: int = 0, names: tuple[str, ...] | None = None,
+                 validate: bool = True):
+        vars(self).update(table=tuple(tuple(row) for row in table), unit=unit, names=names)
+        self.__post_init__(validate)
 
     def _validate(self):
         table = self.table
@@ -154,16 +184,15 @@ class Monoid:
         return Monoid(((0, 1), (1, 1)), 0, ("1", "0"))
 
 
-@dataclass(frozen=True)
-class MonoidMorphism:
-    source: Monoid
-    target: Monoid
-    mapping: tuple[int, ...]
+class MonoidMorphism(Frozen):
+    _fields = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        mapping = tuple(self.mapping)
-        object.__setattr__(self, "mapping", mapping)
-        src, tgt = self.source, self.target
+    def __init__(self, source: Monoid, target: Monoid, mapping):
+        vars(self).update(source=source, target=target, mapping=tuple(mapping))
+        self.__post_init__()
+
+    def _validate(self):
+        src, tgt, mapping = self.source, self.target, self.mapping
         if len(mapping) != src.size:
             raise StructureError("map-shape", f"expected {src.size} entries, got {len(mapping)}")
         if any(not 0 <= v < tgt.size for v in mapping):
@@ -176,17 +205,17 @@ class MonoidMorphism:
                     raise StructureError("product-preservation", f"({x}, {y})")
 
 
-@dataclass(frozen=True)
-class MonoidAction:
+class MonoidAction(Frozen):
     """A monoid morphism from ``acting`` into the endomorphism monoid of
     ``target``, stored as an element-indexed family of endomorphism tables."""
 
-    acting: Monoid
-    target: Monoid
-    maps: tuple[tuple[int, ...], ...]
+    _fields = ("acting", "target", "maps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(tuple(m) for m in self.maps))
+    def __init__(self, acting: Monoid, target: Monoid, maps):
+        vars(self).update(acting=acting, target=target, maps=tuple(tuple(m) for m in maps))
+        self.__post_init__()
+
+    def _validate(self):
         if len(self.maps) != self.acting.size:
             raise StructureError("action-shape", f"expected {self.acting.size} endomorphisms")
         for m, f in enumerate(self.maps):
@@ -320,24 +349,16 @@ def enumerate_actions(acting: Monoid, target: Monoid) -> list[MonoidAction]:
 # finite categories
 
 
-@dataclass(frozen=True)
-class FiniteCategory:
-    n_objects: int
-    dom: tuple[int, ...]
-    cod: tuple[int, ...]
-    identity: tuple[int, ...]
-    composition: Mapping[tuple[int, int], int]
-    object_names: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    morphism_names: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    validate: InitVar[bool] = True
+class FiniteCategory(Frozen):
+    _fields = ("n_objects", "dom", "cod", "identity", "composition")
 
-    def __post_init__(self, validate: bool):
-        object.__setattr__(self, "dom", tuple(self.dom))
-        object.__setattr__(self, "cod", tuple(self.cod))
-        object.__setattr__(self, "identity", tuple(self.identity))
-        object.__setattr__(self, "composition", dict(self.composition))
-        if validate:
-            self._validate()
+    def __init__(self, n_objects: int, dom, cod, identity, composition: Mapping[tuple[int, int], int],
+                 object_names: tuple[str, ...] | None = None,
+                 morphism_names: tuple[str, ...] | None = None, validate: bool = True):
+        vars(self).update(n_objects=n_objects, dom=tuple(dom), cod=tuple(cod),
+                          identity=tuple(identity), composition=dict(composition),
+                          object_names=object_names, morphism_names=morphism_names)
+        self.__post_init__(validate)
 
     def _validate(self):
         dom, cod, identity, comp = self.dom, self.cod, self.identity, self.composition
@@ -444,19 +465,14 @@ def endomorphism_monoid_of_object(cat: FiniteCategory, obj: int) -> tuple[Monoid
 # functors
 
 
-@dataclass(frozen=True)
-class FunctorData:
-    source: FiniteCategory
-    target: FiniteCategory
-    object_map: tuple[int, ...]
-    morphism_map: tuple[int, ...]
-    validate: InitVar[bool] = True
+class FunctorData(Frozen):
+    _fields = ("source", "target", "object_map", "morphism_map")
 
-    def __post_init__(self, validate: bool):
-        object.__setattr__(self, "object_map", tuple(self.object_map))
-        object.__setattr__(self, "morphism_map", tuple(self.morphism_map))
-        if validate:
-            self._validate()
+    def __init__(self, source: FiniteCategory, target: FiniteCategory, object_map, morphism_map,
+                 validate: bool = True):
+        vars(self).update(source=source, target=target, object_map=tuple(object_map),
+                          morphism_map=tuple(morphism_map))
+        self.__post_init__(validate)
 
     def _validate(self):
         source, target, omap, mmap = self.source, self.target, self.object_map, self.morphism_map
@@ -488,16 +504,16 @@ class FunctorData:
 # strict monoidal categories
 
 
-@dataclass(frozen=True)
-class StrictMonoidalCategory:
-    base: FiniteCategory
-    unit_obj: int
-    tensor_obj: Mapping[tuple[int, int], int]
-    tensor_mor: Mapping[tuple[int, int], int]
+class StrictMonoidalCategory(Frozen):
+    _fields = ("base", "unit_obj", "tensor_obj", "tensor_mor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tensor_obj", dict(self.tensor_obj))
-        object.__setattr__(self, "tensor_mor", dict(self.tensor_mor))
+    def __init__(self, base: FiniteCategory, unit_obj: int, tensor_obj: Mapping[tuple[int, int], int],
+                 tensor_mor: Mapping[tuple[int, int], int]):
+        vars(self).update(base=base, unit_obj=unit_obj, tensor_obj=dict(tensor_obj),
+                          tensor_mor=dict(tensor_mor))
+        self.__post_init__()
+
+    def _validate(self):
         base, unit, t_obj, t_mor = self.base, self.unit_obj, self.tensor_obj, self.tensor_mor
         n_obj, n_mor = base.n_objects, base.n_morphisms
         for name, table, n in (("objects", t_obj, n_obj), ("morphisms", t_mor, n_mor)):

@@ -9,24 +9,20 @@ recorded directly as maps on the bicategory's 1- and 2-cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from .errors import StructureError
-from .fincat import FiniteCategory, MonoidAction
+from .fincat import FiniteCategory, Frozen, MonoidAction
 from .twocat import DecoratedBicategory, check_monoidal_map
 
 
-@dataclass(frozen=True)
-class Precosheaf:
-    dec: DecoratedBicategory
-    on_cells1: tuple[Mapping[int, int], ...]
-    on_cells2: tuple[Mapping[int, int], ...]
+class Precosheaf(Frozen):
+    _fields = ("dec", "on_cells1", "on_cells2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "on_cells1", tuple(dict(m) for m in self.on_cells1))
-        object.__setattr__(self, "on_cells2", tuple(dict(m) for m in self.on_cells2))
-        self._validate()
+    def __init__(self, dec: DecoratedBicategory, on_cells1, on_cells2):
+        vars(self).update(dec=dec, on_cells1=tuple(dict(m) for m in on_cells1),
+                          on_cells2=tuple(dict(m) for m in on_cells2))
+        self.__post_init__()
 
     def _validate(self):
         b, bstar = self.dec.bicat, self.dec.decoration
@@ -103,14 +99,15 @@ def _pair_composite(phi: Precosheaf, q: tuple[int, int, int],
     return phi.dec.decoration.compose(fq, fp), xp, phi.dec.bicat.vcomp[(pq, phi.on_cells2[fq][pp])]
 
 
-@dataclass(frozen=True)
-class TotalCategory:
-    """The Grothendieck total category: objects are pairs (x, a) and
-    morphisms are pairs (alpha, beta) with beta: Phi_alpha(a) -> a'."""
+class TotalCategory(Frozen):
+    """The Grothendieck total category: objects are pairs (x, a), stored as
+    (decoration object, 1-cell), and morphisms are pairs (alpha, beta) with
+    beta: Phi_alpha(a) -> a', as (decoration morphism, dom 1-cell, payload)."""
 
-    cat: FiniteCategory
-    object_pairs: tuple[tuple[int, int], ...]          # (decoration object, 1-cell)
-    morphism_pairs: tuple[tuple[int, int, int], ...]   # (decoration morphism, dom 1-cell, payload 2-cell)
+    _fields = ("cat", "object_pairs", "morphism_pairs")
+
+    def __init__(self, cat: FiniteCategory, object_pairs, morphism_pairs):
+        vars(self).update(cat=cat, object_pairs=object_pairs, morphism_pairs=morphism_pairs)
 
 
 def total_category(phi: Precosheaf) -> TotalCategory:
@@ -137,21 +134,23 @@ def total_category(phi: Precosheaf) -> TotalCategory:
     return TotalCategory(cat, tuple(objects), tuple(morphisms))
 
 
-@dataclass(frozen=True)
-class ExtendedTotal:
+class ExtendedTotal(Frozen):
     """The disjoint union of the total category and the non-endo cells,
     with objects identified with the 1-cells of the bicategory.
 
     Morphism ``j`` for ``j < n2`` is the 2-cell ``j`` of the bicategory;
     higher identifiers are the pair morphisms (f, alpha, payload) with f a
     non-identity decoration morphism.  ``triples[j]`` is the (f, g, payload)
-    triple of each morphism, plus its boundary 1-cells.
+    triple of each morphism, plus its boundary 1-cells, and ``pair_info[j]``
+    the (f, dom 1-cell, payload) key of a pair morphism, or None.
+    ``key_index`` maps each morphism's key to it and is not compared.
     """
 
-    cat: FiniteCategory
-    triples: tuple[tuple[int, int, int], ...]   # (left side f, right side g, payload 2-cell)
-    pair_info: tuple[Optional[tuple[int, int, int]], ...]  # (f, dom 1-cell, payload) for pair morphisms
-    key_index: Mapping[tuple[int, int, int], int] = field(compare=False, default_factory=dict)
+    _fields = ("cat", "triples", "pair_info")
+
+    def __init__(self, cat: FiniteCategory, triples, pair_info,
+                 key_index: Mapping[tuple[int, int, int], int]):
+        vars(self).update(cat=cat, triples=triples, pair_info=pair_info, key_index=key_index)
 
 
 def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
@@ -163,7 +162,7 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
     dom: list[int] = []
     cod: list[int] = []
     triples: list[tuple[int, int, int]] = []
-    pair_info: list[Optional[tuple[int, int, int]]] = []
+    pair_info: list[tuple[int, int, int] | None] = []
     key_index: dict[tuple[int, int, int], int] = {}
 
     for p in range(b.n2):

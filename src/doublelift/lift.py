@@ -9,17 +9,14 @@ vertical side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
 from .doublecat import DoubleCategory, DoubleFunctor, HKey, Square, decorated_horizontalization
 from .errors import StructureError
-from .fincat import FunctorData
+from .fincat import Frozen, FunctorData
 from .grothendieck import ExtendedTotal, Precosheaf, extended_total
 from .twocat import DecoratedBicategory, check_monoidal_map
 
-@dataclass(frozen=True)
-class LiftData:
+
+class LiftData(Frozen):
     """A lifted double category together with its construction data.
 
     The objects of ``dc.c1`` are the 1-cells of the bicategory with their
@@ -28,10 +25,11 @@ class LiftData:
     nose; ``ext`` keeps the triple of each square.
     """
 
-    dec: DecoratedBicategory
-    phi: Precosheaf
-    ext: ExtendedTotal
-    dc: DoubleCategory
+    _fields = ("dec", "phi", "ext", "dc")
+
+    def __init__(self, dec: DecoratedBicategory, phi: Precosheaf, ext: ExtendedTotal,
+                 dc: DoubleCategory):
+        vars(self).update(dec=dec, phi=phi, ext=ext, dc=dc)
 
 
 def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
@@ -102,19 +100,19 @@ def square_triple(ld: LiftData, p: int) -> Square:
 # functoriality in the pre-cosheaf
 
 
-@dataclass(frozen=True)
-class PrecosheafMap:
+class PrecosheafMap(Frozen):
     """A natural transformation between pre-cosheaves over the same
-    decoration, with strict monoidal components."""
+    decoration, with strict monoidal components ``comp1`` (on endo 1-cells)
+    and ``comp2`` (on 2-cells), one per decoration object."""
 
-    phi: Precosheaf
-    psi: Precosheaf
-    comp1: tuple[Mapping[int, int], ...]  # per decoration object: endo 1-cell map
-    comp2: tuple[Mapping[int, int], ...]  # per decoration object: 2-cell map
+    _fields = ("phi", "psi", "comp1", "comp2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "comp1", tuple(dict(m) for m in self.comp1))
-        object.__setattr__(self, "comp2", tuple(dict(m) for m in self.comp2))
+    def __init__(self, phi: Precosheaf, psi: Precosheaf, comp1, comp2):
+        vars(self).update(phi=phi, psi=psi, comp1=tuple(dict(m) for m in comp1),
+                          comp2=tuple(dict(m) for m in comp2))
+        self.__post_init__()
+
+    def _validate(self):
         if self.phi.dec != self.psi.dec:
             raise StructureError("naturality", "pre-cosheaves over different decorations")
         b, bstar = self.phi.dec.bicat, self.phi.dec.decoration

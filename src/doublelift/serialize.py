@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from operator import add
-from typing import Any
 
 from .doublecat import DoubleCategory
 from .errors import StructureError
@@ -167,7 +166,7 @@ def _decode(value, shape):
     return value
 
 
-def from_obj(obj: dict[str, Any]):
+def from_obj(obj: dict[str, object]):
     kind = obj.get("kind")
     if kind not in KINDS:
         raise StructureError("unknown-kind", repr(kind))

@@ -11,13 +11,13 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping, Optional
 
 from .errors import StructureError
 from .fincat import (
     FiniteCategory,
+    Frozen,
     StrictMonoidalCategory,
     associativity_failure,
     interchange_failure,
@@ -44,29 +44,17 @@ def _check_table(table, n, right, left, fits, law: str, cells: str) -> None:
             raise StructureError(f"{law}-boundary", f"{cells}({x}, {y}) -> {v}")
 
 
-@dataclass(frozen=True)
-class StrictBicategory:
-    n0: int
-    dom0: tuple[int, ...]
-    cod0: tuple[int, ...]
-    dom1: tuple[int, ...]
-    cod1: tuple[int, ...]
-    id1: tuple[int, ...]
-    id2: tuple[int, ...]
-    vcomp: Mapping[tuple[int, int], int]
-    hcomp1: Mapping[tuple[int, int], int]
-    hcomp2: Mapping[tuple[int, int], int]
-    names1: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    names2: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    validate: InitVar[bool] = True
+class StrictBicategory(Frozen):
+    _fields = ("n0", "dom0", "cod0", "dom1", "cod1", "id1", "id2", "vcomp", "hcomp1", "hcomp2")
 
-    def __post_init__(self, validate: bool):
-        for attr in ("dom0", "cod0", "dom1", "cod1", "id1", "id2"):
-            object.__setattr__(self, attr, tuple(getattr(self, attr)))
-        for attr in ("vcomp", "hcomp1", "hcomp2"):
-            object.__setattr__(self, attr, dict(getattr(self, attr)))
-        if validate:
-            self._validate()
+    def __init__(self, n0: int, dom0, cod0, dom1, cod1, id1, id2,
+                 vcomp: Mapping[tuple[int, int], int], hcomp1: Mapping[tuple[int, int], int],
+                 hcomp2: Mapping[tuple[int, int], int], names1: tuple[str, ...] | None = None,
+                 names2: tuple[str, ...] | None = None, validate: bool = True):
+        vars(self).update(n0=n0, dom0=tuple(dom0), cod0=tuple(cod0), dom1=tuple(dom1),
+                          cod1=tuple(cod1), id1=tuple(id1), id2=tuple(id2), vcomp=dict(vcomp),
+                          hcomp1=dict(hcomp1), hcomp2=dict(hcomp2), names1=names1, names2=names2)
+        self.__post_init__(validate)
 
     def _validate(self):
         n0, n1, n2 = self.n0, self.n1, self.n2
@@ -231,17 +219,16 @@ def suspend(d: StrictMonoidalCategory) -> StrictBicategory:
     )
 
 
-@dataclass(frozen=True)
-class DecoratedBicategory:
-    decoration: FiniteCategory
-    bicat: StrictBicategory
+class DecoratedBicategory(Frozen):
+    _fields = ("decoration", "bicat")
 
-    def __post_init__(self):
-        if self.decoration.n_objects != self.bicat.n0:
+    def __init__(self, decoration: FiniteCategory, bicat: StrictBicategory):
+        if decoration.n_objects != bicat.n0:
             raise StructureError(
                 "decoration-mismatch",
-                f"{self.decoration.n_objects} decoration objects vs {self.bicat.n0} 0-cells",
+                f"{decoration.n_objects} decoration objects vs {bicat.n0} 0-cells",
             )
+        vars(self).update(decoration=decoration, bicat=bicat)
 
 
 def decorate(bstar: FiniteCategory, b: StrictBicategory) -> DecoratedBicategory:

@@ -6,7 +6,7 @@ use; what only the tests need lives here.
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import itertools
 from typing import Optional
 
@@ -173,8 +173,10 @@ def null_monoid(n: int) -> Monoid:
 
 
 def checked_rebuild(value):
-    """``value`` rebuilt from its fields by its checking constructor."""
-    return type(value)(**{f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+    """``value`` rebuilt from its fields by its checking constructor: each
+    argument of the constructor but ``validate`` is read off ``value``."""
+    params = inspect.signature(type(value)).parameters
+    return type(value)(**{name: getattr(value, name) for name in params if name != "validate"})
 
 
 def semidirect_lift(n, m, action):

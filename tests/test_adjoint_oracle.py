@@ -28,6 +28,7 @@ import itertools
 import pytest
 
 from doublelift.adjoint import (
+    _globular,
     _globular_map,
     check_triangle_identities,
     enumerate_precosheaf_maps,
@@ -143,7 +144,7 @@ def oracle_triangle_entries(g, a, actions):
         ok = pi.f1.morphism_map == ident1 and pi.f1.object_map == (0,)
         entries.append((f"pi-identity[{i}]", ok, "pi on a lift is the identity"))
 
-        eta = _globular_map(pi, ld.dc, ld.dc, recovered, recovered)
+        eta = _globular_map(pi, *_globular(ld.dc), recovered, recovered)
         ident2 = {x: x for x in range(dec.bicat.n2)}
         ok = eta.comp2[0] == ident2
         entries.append((f"phi-of-pi-identity[{i}]", ok, "extracted map of pi is the identity"))
@@ -153,7 +154,7 @@ def oracle_triangle_entries(g, a, actions):
             for k, eta in enumerate(enumerate_precosheaf_maps(ld1.phi, ld2.phi)):
                 f = lift_functor(eta, ld1, ld2)
                 lhs = compose_double_functors(f, pi1)
-                back = _globular_map(f, ld1.dc, ld2.dc, phi1, phi2)
+                back = _globular_map(f, _globular(ld1.dc)[0], _globular(ld2.dc)[1], phi1, phi2)
                 rhs = compose_double_functors(pi2, lift_functor(back, ld1, ld2))
                 ok = lhs.f1.morphism_map == rhs.f1.morphism_map
                 entries.append((f"naturality[{i},{j},{k}]", ok,

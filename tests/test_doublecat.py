@@ -71,7 +71,7 @@ def test_horizontalization_equals_a_validated_rebuild(corpus_lifts):
     # horizontalization skips the bicategory laws; rebuilding its tables
     # through the checking constructor must accept them and give the same
     # bicategory, on the lifts and on their closed gamma parts
-    from dataclasses import fields
+    import inspect
 
     from doublelift.analysis import gamma
     from doublelift.twocat import StrictBicategory
@@ -79,7 +79,8 @@ def test_horizontalization_equals_a_validated_rebuild(corpus_lifts):
     for tag, ld in corpus_lifts:
         for dc in (ld.dc, gamma(ld.dc)):
             b = horizontalization(dc)
-            rebuilt = StrictBicategory(*(getattr(b, f.name) for f in fields(b)))
+            params = inspect.signature(StrictBicategory).parameters
+            rebuilt = StrictBicategory(*(getattr(b, name) for name in params if name != "validate"))
             assert b == rebuilt, tag
             assert (b.names1, b.names2) == (rebuilt.names1, rebuilt.names2), tag
 

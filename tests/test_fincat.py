@@ -204,3 +204,41 @@ def test_restrict_checks_closure(subset, detail):
     with pytest.raises(StructureError, match="restriction-closure") as err:
         z4.restrict(subset)
     assert detail in err.value.detail
+
+
+def test_structures_are_frozen_values_compared_by_their_tables():
+    from doublelift.analysis import Folding
+    from doublelift.examples import fixture_by_name
+    from doublelift.grothendieck import ExtendedTotal
+    from doublelift.lift import LiftData, lift_data
+    from doublelift.twocat import StrictBicategory, suspend
+
+    # names and the key index are metadata: equality and hashing ignore them
+    z3 = Monoid.cyclic(3)
+    renamed = Monoid(z3.table, z3.unit, ("a", "b", "c"))
+    assert renamed.names != z3.names and renamed == z3 and hash(renamed) == hash(z3)
+    assert hash(MonoidAction.trivial(renamed, z3)) == hash(MonoidAction.trivial(z3, z3))
+    assert hash(Folding(((0, 1),))) == hash(Folding(((0, 1),)))
+    cat = delooping(z3)
+    assert FiniteCategory(cat.n_objects, cat.dom, cat.cod, cat.identity, cat.composition) == cat
+    b = suspend(monoidal_delooping(z3))
+    assert b.names2 == z3.names
+    assert StrictBicategory(b.n0, b.dom0, b.cod0, b.dom1, b.cod1, b.id1, b.id2, b.vcomp, b.hcomp1,
+                            b.hcomp2) == b
+    fx = fixture_by_name("semidirect:z3:z2:inv")
+    assert ExtendedTotal(fx.ext.cat, fx.ext.triples, fx.ext.pair_info, {}) == fx.ext
+    assert Monoid(((0, 1), (1, 0))) != Monoid(((0, 1), (1, 1)))
+
+    # equal fields in a different class are not equal, in either order
+    ld = LiftData(fx.dec, fx.phi, fx.ext, fx.dc)
+    assert ld == lift_data(fx.dec, fx.phi)
+    assert ld != fx and fx != ld and not ld == fx
+
+    for value, name in ((z3, "unit"), (z3, "names"), (cat, "dom"), (b, "names1"), (fx, "dc"),
+                        (fx, "semidirect"), (fx.ext, "key_index")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        z3.order = 3
