@@ -11,7 +11,7 @@ import itertools
 from .analysis import _search_limit, gamma_data, single_object_monoids, single_object_precosheaf
 from .doublecat import DoubleCategory, DoubleFunctor, globular_squares
 from .errors import StructureError
-from .fincat import (FunctorData, Monoid, MonoidAction, delooping, endomorphism_monoid_of_object,
+from .fincat import (FunctorData, Monoid, delooping, endomorphism_monoid_of_object,
                      monoid_endomorphisms, monoid_homomorphisms, monoidal_delooping)
 from .grothendieck import Precosheaf
 from .lift import LiftData, PrecosheafMap, lift_data, lift_functor
@@ -28,7 +28,7 @@ def _check_shape(c: DoubleCategory) -> None:
     gd = gamma_data(c)
     if gd.dc != c:
         raise StructureError("not-gg", "double category is not globularily generated")
-    if gd.chain.stabilization_index != 1:
+    if len(gd.levels) != 1:
         raise StructureError("vertical-length", "vertical length must be 1")
 
 
@@ -42,15 +42,6 @@ def extract_phi(c: DoubleCategory) -> Precosheaf:
     """
     _check_shape(c)
     return single_object_precosheaf(c)
-
-
-def extracted_action(c: DoubleCategory) -> MonoidAction:
-    """The same data as extract_phi, as a monoid action of G on the
-    globular monoid A."""
-    phi = extract_phi(c)
-    g, a = single_object_monoids(phi.dec)
-    maps = tuple(tuple(phi.on_cells2[m][x] for x in range(a.size)) for m in range(g.size))
-    return MonoidAction(g, a, maps)
 
 
 def pi_functor(c: DoubleCategory) -> DoubleFunctor:
@@ -166,8 +157,10 @@ def check_triangle_identities(phis: list[Precosheaf]) -> tuple[tuple[str, bool, 
         ok = recovered == phi
         entries.append((f"round-trip[{i}]", ok, "extract_phi(lift) == phi"))
 
-        # pi_functor(ld.dc): when the round trip holds, its lift of recovered is ld
-        pi = _comparison(ld.dc, ld if ok else lift_data(recovered.dec, recovered))
+        # pi_functor(ld.dc): ld is the lift of recovered when the round trip
+        # holds, as the theorem says it does; when it fails, its entry fails
+        # and the naturality loop below raises "wiring"
+        pi = _comparison(ld.dc, ld)
         glob, pos = _globular(ld.dc)
         lifts.append((ld, pi.f1.morphism_map, recovered, glob, pos))
         ident1 = tuple(range(ld.dc.c1.n_morphisms))

@@ -59,32 +59,18 @@ def _horizontal_step(c: DoubleCategory, squares: set[int]) -> set[int]:
     return out
 
 
-class VerticalChain(Frozen):
-    """The square sets of the increasing chain of square subcategories of a
-    double category, starting at the level generated by globular and
-    horizontal identity squares under vertical composition."""
-
-    _fields = ("level_squares",)
-
-    def __init__(self, level_squares: tuple[tuple[int, ...], ...]):
-        for k in range(1, len(level_squares)):
-            if not set(level_squares[k - 1]) <= set(level_squares[k]):
-                raise StructureError("chain-monotonicity", f"level {k} drops squares")
-        vars(self).update(level_squares=level_squares)
-
-    @property
-    def stabilization_index(self) -> int:
-        """1-based index of the first repeated level."""
-        return len(self.level_squares)
-
-
 class GammaData(Frozen):
-    """A sub-double category, the input id of each square, and its chain."""
+    """A sub-double category, the input id of each square, and the square
+    sets of its vertical chain: ``levels[0]`` is generated by the globular
+    and horizontal identity squares under vertical composition, and each
+    later level is the vertical closure of a horizontal step of the one
+    before, so it contains it.  The last level is every square of ``dc``."""
 
-    _fields = ("dc", "square_ids", "chain")
+    _fields = ("dc", "square_ids", "levels")
 
-    def __init__(self, dc: DoubleCategory, square_ids: tuple[int, ...], chain: VerticalChain):
-        vars(self).update(dc=dc, square_ids=square_ids, chain=chain)
+    def __init__(self, dc: DoubleCategory, square_ids: tuple[int, ...],
+                 levels: tuple[tuple[int, ...], ...]):
+        vars(self).update(dc=dc, square_ids=square_ids, levels=levels)
 
 
 def gamma_data(c: DoubleCategory) -> GammaData:
@@ -123,8 +109,7 @@ def gamma_data(c: DoubleCategory) -> GammaData:
                 raise StructureError("restriction-closure", f"pasting ({u}, {v}) -> {w} dropped")
             hcomp[(kind, pos[u], pos[v])] = pos[w]
     dc = DoubleCategory(c.c0, c1, src, tgt, hid, hcomp, validate=False)
-    chain = VerticalChain(tuple(tuple(sorted(pos[p] for p in level)) for level in levels))
-    return GammaData(dc, square_ids, chain)
+    return GammaData(dc, square_ids, tuple(tuple(sorted(pos[p] for p in level)) for level in levels))
 
 
 def gamma(c: DoubleCategory) -> DoubleCategory:
@@ -139,14 +124,16 @@ def is_gg(c: DoubleCategory) -> bool:
 # vertical length
 
 
-def vertical_chain(c: DoubleCategory) -> VerticalChain:
-    """The chain is computed inside the globularily generated part, so it
-    always stabilizes at the full square collection of that part."""
-    return gamma_data(c).chain
+def vertical_chain(c: DoubleCategory) -> tuple[tuple[int, ...], ...]:
+    """The square sets of the chain levels, numbered as the squares of the
+    globularily generated part; the chain always stabilizes at all of them."""
+    return gamma_data(c).levels
 
 
 def vertical_length(c: DoubleCategory) -> int:
-    return vertical_chain(c).stabilization_index
+    """The number of chain levels: the 1-based index of the level at which
+    the chain stabilizes."""
+    return len(vertical_chain(c))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +168,7 @@ def v1_membership(ld: LiftData, square: int) -> tuple[bool, tuple[int, int] | No
             break
 
     gd = gamma_data(ld.dc)
-    in_chain = square in {gd.square_ids[p] for p in gd.chain.level_squares[0]}
+    in_chain = square in {gd.square_ids[p] for p in gd.levels[0]}
     if (witness is not None) != in_chain:
         raise StructureError(
             "v1-membership", f"factorization search and chain membership disagree on square {square}")
@@ -198,10 +185,10 @@ class Folding(Frozen):
     holonomy.  ``payload_maps[m]`` maps square payloads (elements of the
     globular monoid A) to payloads."""
 
-    _fields = ("payload_maps", "cofolding")
+    _fields = ("payload_maps",)
 
-    def __init__(self, payload_maps: tuple[tuple[int, ...], ...], cofolding: bool = False):
-        vars(self).update(payload_maps=payload_maps, cofolding=cofolding)
+    def __init__(self, payload_maps: tuple[tuple[int, ...], ...]):
+        vars(self).update(payload_maps=payload_maps)
 
 
 class SearchCertificate(Frozen):
@@ -211,10 +198,6 @@ class SearchCertificate(Frozen):
 
     def __init__(self, exhausted: bool, nodes: int, limit: int):
         vars(self).update(exhausted=exhausted, nodes=nodes, limit=limit)
-
-    @property
-    def inconclusive(self) -> bool:
-        return not self.exhausted
 
 
 def single_object_monoids(dec: DecoratedBicategory) -> tuple[Monoid, Monoid]:
@@ -305,9 +288,8 @@ def find_folding(phi: Precosheaf):
 def find_cofolding(phi: Precosheaf):
     """A cofolding swaps the two images in the vertical law.  Over the
     commutative globular monoids accepted here that is the folding law, so
-    this is find_folding's result, marked as a cofolding when found."""
-    result = find_folding(phi)
-    return Folding(result.payload_maps, cofolding=True) if isinstance(result, Folding) else result
+    this is find_folding's result."""
+    return find_folding(phi)
 
 
 def framed_flag(phi: Precosheaf) -> bool | None:

@@ -109,8 +109,8 @@ def cmd_analyze(args, report: Report) -> None:
     gd = gamma_data(dc)
     report.info("gamma-squares", f"{gd.dc.c1.n_morphisms} of {dc.c1.n_morphisms}")
     report.info("gg", str(gd.dc == dc).lower())
-    report.info("vertical-length", str(gd.chain.stabilization_index))
-    report.info("chain-sizes", " ".join(str(len(s)) for s in gd.chain.level_squares))
+    report.info("vertical-length", str(len(gd.levels)))
+    report.info("chain-sizes", " ".join(str(len(s)) for s in gd.levels))
 
 
 def cmd_folding(args, report: Report) -> None:
@@ -167,7 +167,7 @@ def cmd_example(args, report: Report) -> None:
     # building the lift ran the axiom suite and raised on the first failed law
     report.add("axioms", True)
     gd = gamma_data(fx.dc)
-    report.info("vertical-length", str(gd.chain.stabilization_index))
+    report.info("vertical-length", str(len(gd.levels)))
     report.info("gg", str(gd.dc == fx.dc).lower())
     if isinstance(fx, SemidirectFixture):
         kind = "abelian" if fx.endo_monoid.is_commutative else "non-abelian"

@@ -272,20 +272,3 @@ class DoubleFunctor(Frozen):
             else:
                 if self.f1.morphism_map[c.hsq(u, v)] != d.hsq(self.f1.morphism_map[u], self.f1.morphism_map[v]):
                     raise StructureError("double-functor-hcomp", f"squares ({u}, {v})")
-
-
-class Square(Frozen):
-    """A square of a lifted double category in the (f, g, payload) shape.
-
-    The vertical sides f and g of such a square are either both identities
-    (a 2-cell of the underlying bicategory) or equal.
-    """
-
-    _fields = ("f", "g", "payload", "top", "bottom", "f_is_identity", "g_is_identity")
-
-    def __init__(self, f: int, g: int, payload: int, top: int, bottom: int, f_is_identity: bool,
-                 g_is_identity: bool):
-        if not f_is_identity and not g_is_identity and f != g:
-            raise StructureError("square-shape", f"non-identity vertical sides differ: {f} vs {g}")
-        vars(self).update(f=f, g=g, payload=payload, top=top, bottom=bottom,
-                          f_is_identity=f_is_identity, g_is_identity=g_is_identity)

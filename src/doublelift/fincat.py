@@ -152,13 +152,8 @@ class Monoid(Frozen):
         return all(self.table[x][y] == self.table[y][x] for x in range(n) for y in range(n))
 
     def is_group(self) -> bool:
-        return all(self._has_inverse(x) for x in range(self.size))
-
-    def _has_inverse(self, x: int) -> bool:
-        return any(
-            self.table[x][y] == self.unit and self.table[y][x] == self.unit
-            for y in range(self.size)
-        )
+        return all(any(self.table[x][y] == self.unit and self.table[y][x] == self.unit
+                       for y in range(self.size)) for x in range(self.size))
 
     def inverse(self, x: int) -> int:
         for y in range(self.size):

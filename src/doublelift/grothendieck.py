@@ -87,62 +87,24 @@ def constant_precosheaf(dec: DecoratedBicategory) -> Precosheaf:
 
 
 # ---------------------------------------------------------------------------
-# total categories
-
-
-def _pair_composite(phi: Precosheaf, q: tuple[int, int, int],
-                    p: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The composite q after p of two pair morphisms given as (decoration
-    morphism, dom 1-cell, payload 2-cell): (f_q f_p, x_p, p_q . Phi_{f_q}(p_p))."""
-    fq, _, pq = q
-    fp, xp, pp = p
-    return phi.dec.decoration.compose(fq, fp), xp, phi.dec.bicat.vcomp[(pq, phi.on_cells2[fq][pp])]
-
-
-class TotalCategory(Frozen):
-    """The Grothendieck total category: objects are pairs (x, a), stored as
-    (decoration object, 1-cell), and morphisms are pairs (alpha, beta) with
-    beta: Phi_alpha(a) -> a', as (decoration morphism, dom 1-cell, payload)."""
-
-    _fields = ("cat", "object_pairs", "morphism_pairs")
-
-    def __init__(self, cat: FiniteCategory, object_pairs, morphism_pairs):
-        vars(self).update(cat=cat, object_pairs=object_pairs, morphism_pairs=morphism_pairs)
-
-
-def total_category(phi: Precosheaf) -> TotalCategory:
-    dec, b = phi.dec, phi.dec.bicat
-    bstar = dec.decoration
-    objects = [(a, x) for a in range(bstar.n_objects) for x in b.endo_cells[a][0]]
-    obj_pos = {pair: i for i, pair in enumerate(objects)}
-    morphisms = [
-        (f, x, p)
-        for f in range(bstar.n_morphisms)
-        for x in b.endo_cells[bstar.dom[f]][0]
-        for p in b.endo_cells[bstar.cod[f]][1] if b.dom1[p] == phi.on_cells1[f][x]
-    ]
-    mor_pos = {t: i for i, t in enumerate(morphisms)}
-    dom = tuple(obj_pos[(bstar.dom[f], x)] for (f, x, p) in morphisms)
-    cod = tuple(obj_pos[(bstar.cod[f], b.cod1[p])] for (f, x, p) in morphisms)
-    identity = tuple(mor_pos[(bstar.identity[a], x, b.id2[x])] for (a, x) in objects)
-    comp: dict[tuple[int, int], int] = {}
-    for qi, q in enumerate(morphisms):
-        for pi, p in enumerate(morphisms):
-            if dom[qi] == cod[pi]:
-                comp[(qi, pi)] = mor_pos[_pair_composite(phi, q, p)]
-    cat = FiniteCategory(len(objects), dom, cod, identity, comp)
-    return TotalCategory(cat, tuple(objects), tuple(morphisms))
+# the extended total category
 
 
 class ExtendedTotal(Frozen):
-    """The disjoint union of the total category and the non-endo cells,
-    with objects identified with the 1-cells of the bicategory.
+    """The disjoint union of the Grothendieck total category and the
+    non-endo cells, with objects identified with the 1-cells of the
+    bicategory.  The total category, whose objects are the pairs (decoration
+    object, endo 1-cell) and whose morphisms are the pairs (f, payload) with
+    payload: Phi_f(x) -> x', is the full subcategory of ``cat`` on the endo
+    1-cells.
 
     Morphism ``j`` for ``j < n2`` is the 2-cell ``j`` of the bicategory;
     higher identifiers are the pair morphisms (f, alpha, payload) with f a
     non-identity decoration morphism.  ``triples[j]`` is the (f, g, payload)
-    triple of each morphism, plus its boundary 1-cells, and ``pair_info[j]``
-    the (f, dom 1-cell, payload) key of a pair morphism, or None.
+    triple of each morphism, whose vertical sides f and g are both
+    identities or equal, and whose top and bottom 1-cells are ``cat.dom[j]``
+    and ``cat.cod[j]``; ``pair_info[j]`` is the (f, dom 1-cell, payload) key
+    of a pair morphism, or None.
     ``key_index`` maps each morphism's key to it and is not compared.
     """
 
@@ -201,7 +163,11 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
                 # both live in the non-endo part: plain vertical composition
                 comp[(q, p)] = b.vcomp[(q, p)]
             else:
-                comp[(q, p)] = key_index[_pair_composite(phi, keys[q], keys[p])]
+                # the pair composite q after p: (f_q f_p, x_p, p_q . Phi_{f_q}(p_p))
+                fq, _, pq = keys[q]
+                fp, xp, pp = keys[p]
+                comp[(q, p)] = key_index[(bstar.compose(fq, fp), xp,
+                                          b.vcomp[(pq, phi.on_cells2[fq][pp])])]
     cat = FiniteCategory(b.n1, tuple(dom), tuple(cod), identity, comp)
     return ExtendedTotal(cat, tuple(triples), tuple(pair_info), key_index)
 

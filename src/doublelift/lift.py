@@ -9,7 +9,7 @@ vertical side.
 
 from __future__ import annotations
 
-from .doublecat import DoubleCategory, DoubleFunctor, HKey, Square, decorated_horizontalization
+from .doublecat import DoubleCategory, DoubleFunctor, HKey, decorated_horizontalization
 from .errors import StructureError
 from .fincat import Frozen, FunctorData
 from .grothendieck import ExtendedTotal, Precosheaf, extended_total
@@ -83,17 +83,6 @@ def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
 
 def lift(dec: DecoratedBicategory, phi: Precosheaf) -> DoubleCategory:
     return lift_data(dec, phi).dc
-
-
-def square_triple(ld: LiftData, p: int) -> Square:
-    """The (f, g, payload) presentation of square ``p`` of a lift."""
-    f, g, payload = ld.ext.triples[p]
-    bstar = ld.dec.decoration
-    return Square(
-        f, g, payload,
-        ld.ext.cat.dom[p], ld.ext.cat.cod[p],
-        bstar.is_identity(f), bstar.is_identity(g),
-    )
 
 
 # ---------------------------------------------------------------------------

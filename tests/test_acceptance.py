@@ -148,7 +148,7 @@ def test_criterion_6_factorization_vs_chain(corpus_lifts):
     for tag, ld in corpus_lifts:
         chain = vertical_chain(ld.dc)
         gd = gamma_data(ld.dc)
-        v1 = {gd.square_ids[p] for p in chain.level_squares[0]}
+        v1 = {gd.square_ids[p] for p in chain[0]}
         for p in range(ld.dc.c1.n_morphisms):
             if ld.ext.pair_info[p] is None:
                 continue

@@ -7,7 +7,6 @@ from doublelift.adjoint import (
     check_triangle_identities,
     enumerate_precosheaf_maps,
     extract_phi,
-    extracted_action,
     phi_of_double_functor,
     pi_functor,
 )
@@ -28,14 +27,6 @@ def test_extract_phi_round_trips_on_lifts():
         ld = semidirect_lift(n, m, act)
         recovered = extract_phi(ld.dc)
         assert recovered.on_cells2 == ld.phi.on_cells2
-
-
-def test_extracted_action_matches_the_input_action():
-    z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
-    act = MonoidAction.inversion(z3)
-    ld = semidirect_lift(z3, z2, act)
-    back = extracted_action(ld.dc)
-    assert back.maps == act.maps
 
 
 def test_extract_phi_rejects_monoid_decorations():

@@ -84,7 +84,7 @@ def oracle_extract_phi(c):
     gd = gamma_data(c)
     if gd.dc != c:
         raise StructureError("not-gg", "double category is not globularily generated")
-    if gd.chain.stabilization_index != 1:
+    if len(gd.levels) != 1:
         raise StructureError("vertical-length", "vertical length must be 1")
     dec = decorated_horizontalization(c)
     glob = sorted(globular_squares(c))

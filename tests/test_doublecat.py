@@ -3,7 +3,6 @@ import pytest
 from doublelift.doublecat import (
     DoubleCategory,
     DoubleFunctor,
-    Square,
     check_double_axioms,
     decorated_horizontalization,
     globular_squares,
@@ -154,16 +153,6 @@ def test_double_functor_identity_and_check():
     ident = identity_double_functor(dc)
     ident.check(dc, dc)
     assert compose_double_functors(ident, ident).f1.morphism_map == ident.f1.morphism_map
-
-
-def test_square_shape_invariant():
-    Square(f=1, g=1, payload=0, top=0, bottom=0,
-           f_is_identity=False, g_is_identity=False)
-    Square(f=0, g=1, payload=0, top=0, bottom=0,
-           f_is_identity=True, g_is_identity=False)
-    with pytest.raises(StructureError, match="square-shape"):
-        Square(f=1, g=2, payload=0, top=0, bottom=0,
-               f_is_identity=False, g_is_identity=False)
 
 
 def test_law_list_matches_the_report():

@@ -15,7 +15,6 @@ from doublelift.grothendieck import (
     extended_total,
     identity_precosheaf,
     precosheaf_from_action,
-    total_category,
 )
 from doublelift.twocat import decorate, suspend
 
@@ -75,10 +74,11 @@ def test_total_category_is_the_semidirect_delooping():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
     dec = _semidirect_dec(z3, z2)
     phi = precosheaf_from_action(dec, MonoidAction.inversion(z3))
-    tot = total_category(phi)
-    assert tot.cat.n_objects == 1
-    assert tot.cat.n_morphisms == 6
-    monoid, _ = endomorphism_monoid_of_object(tot.cat, 0)
+    # over a one-object decoration the total category is all of the extended one
+    tot = extended_total(dec, phi).cat
+    assert tot.n_objects == 1
+    assert tot.n_morphisms == 6
+    monoid, _ = endomorphism_monoid_of_object(tot, 0)
     sd = semidirect_product(z3, z2, MonoidAction.inversion(z3))
     assert monoid_isomorphism(monoid, sd) is not None
 

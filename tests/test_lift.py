@@ -3,7 +3,7 @@ import pytest
 from doublelift.errors import StructureError
 from doublelift.fincat import Monoid, MonoidAction, delooping, monoidal_delooping
 from doublelift.grothendieck import precosheaf_from_action
-from doublelift.lift import PrecosheafMap, lift, lift_data, lift_functor, square_triple
+from doublelift.lift import PrecosheafMap, lift, lift_data, lift_functor
 from doublelift.twocat import decorate, suspend
 
 
@@ -75,21 +75,29 @@ def test_horizontal_identity_squares():
     ld = lift_data(_dec(z3, z2), _phi(z3, z2, MonoidAction.inversion(z3)))
     bstar = ld.dec.decoration
     for f in range(bstar.n_morphisms):
-        sq = square_triple(ld, ld.dc.hid.morphism_map[f])
-        assert sq.f == f and sq.g == f
-        assert sq.payload == ld.dec.bicat.id2[sq.top]
+        p = ld.dc.hid.morphism_map[f]
+        g1, g2, payload = ld.ext.triples[p]
+        assert g1 == f and g2 == f
+        assert payload == ld.dec.bicat.id2[ld.ext.cat.dom[p]]
 
 
 def test_square_triple_shape(corpus_lifts):
     for tag, ld in corpus_lifts:
-        bstar = ld.dec.decoration
+        b, bstar, c1 = ld.dec.bicat, ld.dec.decoration, ld.ext.cat
         for p in range(ld.dc.c1.n_morphisms):
-            sq = square_triple(ld, p)
-            assert sq.top == ld.dc.c1.dom[p], tag
-            assert sq.bottom == ld.dc.c1.cod[p], tag
-            assert sq.f_is_identity == bstar.is_identity(sq.f), tag
-            if not sq.f_is_identity:
-                assert sq.f == sq.g, tag
+            f, g, payload = ld.ext.triples[p]
+            assert (f, g) == (ld.dc.src.morphism_map[p], ld.dc.tgt.morphism_map[p]), tag
+            if ld.ext.pair_info[p] is None:
+                # a 2-cell of the bicategory between its own boundary 1-cells
+                assert bstar.is_identity(f) and bstar.is_identity(g), tag
+                assert payload == p, tag
+                assert (c1.dom[p], c1.cod[p]) == (b.dom1[p], b.cod1[p]), tag
+            else:
+                # a pair square: equal non-identity sides, payload out of Phi_f(top)
+                assert not bstar.is_identity(f) and f == g, tag
+                assert ld.ext.pair_info[p] == (f, c1.dom[p], payload), tag
+                assert b.dom1[payload] == ld.phi.on_cells1[f][c1.dom[p]], tag
+                assert c1.cod[p] == b.cod1[payload], tag
 
 
 def test_identity_precosheaf_map_gives_the_identity_functor():

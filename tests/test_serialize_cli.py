@@ -600,3 +600,47 @@ def test_runtime_needs_only_the_standard_library():
     assert done.returncode == 0, done.stderr
     assert "pass  axioms" in done.stdout
     assert done.stdout.splitlines()[-1] == "loaded:"
+
+
+# The top-level functions and classes of the package that no code in the
+# package or in bench/ reads: paper constructions kept for library users.
+UNREAD_CONSTRUCTIONS = {
+    "gg_criterion_surjective": "the surjectivity criterion for a lift to be globularily generated",
+    "is_gg": "whether a double category is globularily generated",
+    "phi_of_double_functor": "the map of extracted pre-cosheaves of a double functor",
+    "pi_functor": "the comparison functor from the lift of the extracted pre-cosheaf",
+    "v1_membership": "first-level membership of a pair square, by factorization",
+    "vertical_length": "the vertical length of a double category",
+}
+
+
+def test_every_top_level_definition_has_a_reader_or_a_reason():
+    # a name counts as read where the package or bench/ mentions it as a
+    # name, an attribute, an imported name or a string (bench/spans.py
+    # wraps functions by attribute name); tests do not count
+    import ast
+    import glob
+
+    import doublelift
+
+    bench_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    src_files = sorted(glob.glob(os.path.join(doublelift.__path__[0], "*.py")))
+    bench_files = sorted(glob.glob(os.path.join(bench_dir, "*.py")))
+    assert src_files and bench_files
+    defined, read = set(), set()
+    for path in src_files + bench_files:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        if path in src_files:
+            defined |= {node.name for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert sorted(defined - read) == sorted(UNREAD_CONSTRUCTIONS)
