@@ -83,8 +83,9 @@ def cmd_check(args, report: Report) -> None:
 
 
 def cmd_lift(args, report: Report) -> None:
-    dec = serialize.load(args.dec)
-    phi = serialize.load(args.phi)
+    seen: list = []  # the pre-cosheaf file embeds its decorated bicategory
+    dec = serialize.load(args.dec, seen)
+    phi = serialize.load(args.phi, seen)
     if not isinstance(dec, DecoratedBicategory) or not isinstance(phi, Precosheaf):
         report.add("input-kinds", False, "expected a decorated-bicategory and a precosheaf")
         return
@@ -133,15 +134,16 @@ def cmd_folding(args, report: Report) -> None:
 
 
 def cmd_adjunction(args, report: Report) -> None:
-    g = serialize.load(args.group)
-    a = serialize.load(args.commutative)
+    seen: list = []  # every pre-cosheaf file embeds the same decorated bicategory
+    g = serialize.load(args.group, seen)
+    a = serialize.load(args.commutative, seen)
     if not isinstance(g, Monoid) or not isinstance(a, Monoid):
         report.add("input-kinds", False, "expected two monoid files")
         return
     dec = group_decoration(g, a)
     phis = []
     for path in args.phis:
-        phi = serialize.load(path)
+        phi = serialize.load(path, seen)
         if not isinstance(phi, Precosheaf):
             report.add("input-kinds", False, f"{path} is not a precosheaf")
             return

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import StructureError
-from .fincat import FiniteCategory, Frozen, FunctorData, associativity_failure, interchange_failure, op_rows
+from .fincat import (FiniteCategory, Frozen, FunctorData, associativity_failure, interchange_failure,
+                     totality_failure, unit_failure)
 from .twocat import DecoratedBicategory, StrictBicategory
 
 HKey = tuple[str, int, int]
@@ -98,11 +99,6 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, tuple | None
     def record(law: str, witness: tuple | None):
         report.append((law, witness is None, witness))
 
-    def first(gen):
-        for w in gen:
-            return w
-        return None
-
     for fun, name in ((c.src, "src"), (c.tgt, "tgt")):
         if fun.source is not c1 and fun.source != c1:
             raise StructureError("wiring", f"{name} is not a functor out of c1")
@@ -111,91 +107,57 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, tuple | None
     if c.hid.source != c0 or c.hid.target != c1:
         raise StructureError("wiring", "hid is not a functor from c0 to c1")
 
-    record("hid-section", first(
+    record("hid-section", next((
         ("object", a) for a in range(c0.n_objects)
         if c.src.object_map[c.hid.object_map[a]] != a or c.tgt.object_map[c.hid.object_map[a]] != a
-    ) or first(
+    ), None) or next((
         ("morphism", f) for f in range(c0.n_morphisms)
         if c.src.morphism_map[c.hid.morphism_map[f]] != f
         or c.tgt.morphism_map[c.hid.morphism_map[f]] != f
-    ))
+    ), None))
 
-    # the two parts of horizontal composition: 1-cells under the object maps
-    # and squares under the morphism maps
-    parts = (("ob", "1cells", c1.n_objects, c.src.object_map, c.tgt.object_map, c.hid.object_map),
-             ("sq", "squares", c1.n_morphisms, c.src.morphism_map, c.tgt.morphism_map,
-              c.hid.morphism_map))
-
-    def totality_witness(kind: str, n: int, left, right):
-        for x in range(n):
-            for y in range(n):
-                defined = (kind, x, y) in c.hcomp
-                if defined != (right[x] == left[y]):
-                    return (x, y, "defined" if defined else "missing")
-        # a key outside the cells; a key of neither kind counts against 1-cells
-        cells = range(n)
-        for key in c.hcomp:
-            owner = "sq" if key[0] == "sq" else "ob"
-            if owner == kind and not (key[0] == kind and key[1] in cells and key[2] in cells):
-                return key + ("defined",)
-        return None
-
-    for kind, name, n, left, right, _ in parts:
-        record(f"hcomp-totality-{name}", totality_witness(kind, n, left, right))
+    # the two parts of horizontal composition, each a partial operation:
+    # 1-cells under the object maps and squares under the morphism maps
+    ob = {key[1:]: w for key, w in c.hcomp.items() if key[0] == "ob"}
+    sq = {key[1:]: w for key, w in c.hcomp.items() if key[0] == "sq"}
+    left0, right0, srcm, tgtm = c.src.object_map, c.tgt.object_map, c.src.morphism_map, c.tgt.morphism_map
+    parts = (("ob", "1cells", ob, c1.n_objects, left0, right0, c.hid.object_map),
+             ("sq", "squares", sq, c1.n_morphisms, srcm, tgtm, c.hid.morphism_map))
+    for kind, name, table, n, left, right, _ in parts:
+        # else a key outside the cells; a key of neither kind counts against 1-cells
+        record(f"hcomp-totality-{name}", totality_failure(table, right, left) or next((
+            key + ("defined",) for key in c.hcomp if ("sq" if key[0] == "sq" else "ob") == kind
+            and not (key[0] == kind and key[1] in range(n) and key[2] in range(n))), None))
     if any(not ok for _, ok, _ in report):
         return report
 
     # a pasting result outside the cells has no boundary, so it fails here
-    record("hcomp-boundary", first(
-        (x, y) for (kind, x, y) in c.hcomp if kind == "ob"
-        and (not 0 <= c.hob(x, y) < c1.n_objects
-             or c.left0(c.hob(x, y)) != c.left0(x) or c.right0(c.hob(x, y)) != c.right0(y))
-    ) or first(
-        (p, q)
-        for (kind, p, q) in c.hcomp if kind == "sq"
-        and (not 0 <= c.hsq(p, q) < c1.n_morphisms
-             or c.src.morphism_map[c.hsq(p, q)] != c.src.morphism_map[p]
-             or c.tgt.morphism_map[c.hsq(p, q)] != c.tgt.morphism_map[q]
-             or c1.dom[c.hsq(p, q)] != c.hob(c1.dom[p], c1.dom[q])
-             or c1.cod[c.hsq(p, q)] != c.hob(c1.cod[p], c1.cod[q]))
-    ))
+    record("hcomp-boundary", next((
+        (x, y) for (x, y), z in ob.items()
+        if not 0 <= z < c1.n_objects or left0[z] != left0[x] or right0[z] != right0[y]
+    ), None) or next((
+        (p, q) for (p, q), r in sq.items()
+        if not 0 <= r < c1.n_morphisms or srcm[r] != srcm[p] or tgtm[r] != tgtm[q]
+        or c1.dom[r] != ob[(c1.dom[p], c1.dom[q])] or c1.cod[r] != ob[(c1.cod[p], c1.cod[q])]
+    ), None))
     if not report[-1][1]:
         return report
 
-    record("hcomp-identity", first(
-        (x, y) for (kind, x, y) in c.hcomp if kind == "ob"
-        and c.hsq(c1.identity[x], c1.identity[y]) != c1.identity[c.hob(x, y)]
-    ))
-
-    # Row tables: vrows[q][p] is the square q after p, and the horizontal
-    # rows of a kind paste x left of y.  Totality and boundary hold here, so
-    # every key and value is a cell.
-    def hrows_of(kind: str, n: int):
-        return op_rows(n, ((key[1:], w) for key, w in c.hcomp.items() if key[0] == kind))
-
-    m, tgtm = c0.n_morphisms, c.tgt.morphism_map
-    vrows, hrows = op_rows(c1.n_morphisms, c1.composition.items()), hrows_of("sq", c1.n_morphisms)
-    fail = interchange_failure(vrows, hrows, [(q, p, tgtm[p] * m + tgtm[q]) for q, p in c1.composition],
-                               composable_pair_groups(c))
-    record("interchange", fail)
-
-    def unit_witness():
-        for kind, _, n, left, right, hid in parts:
-            for x in range(n):
-                if c.hcomp[(kind, hid[left[x]], x)] != x or c.hcomp[(kind, x, hid[right[x]])] != x:
-                    return (kind, x)
-        return None
-
-    record("hcomp-unit", unit_witness())
-
-    def assoc_witness():
-        for kind, rows in (("ob", hrows_of("ob", c1.n_objects)), ("sq", hrows)):
-            fail = associativity_failure(rows, [key[1:] for key in c.hcomp if key[0] == kind])
-            if fail:
-                return (kind, *fail)
-        return None
-
-    record("hcomp-associativity", assoc_witness())
+    record("hcomp-identity", next((
+        (x, y) for (x, y), z in ob.items() if sq[(c1.identity[x], c1.identity[y])] != c1.identity[z]
+    ), None))
+    m = c0.n_morphisms
+    record("interchange", interchange_failure(c1.n_morphisms, c1.composition, sq,
+                                              [(q, p, tgtm[p] * m + tgtm[q]) for q, p in c1.composition],
+                                              composable_pair_groups(c)))
+    record("hcomp-unit", next((
+        (kind, x) for kind, _, table, _, left, right, hid in parts
+        if (x := unit_failure(table, right, left, hid)) is not None
+    ), None))
+    record("hcomp-associativity", next((
+        (kind, *fail) for kind, _, table, _, left, right, _ in parts
+        if (fail := associativity_failure(table, right, left, table))
+    ), None))
     return report
 
 
@@ -265,10 +227,7 @@ class DoubleFunctor(Frozen):
         for f in range(c.c0.n_morphisms):
             if self.f1.morphism_map[c.hid.morphism_map[f]] != d.hid.morphism_map[self.f0.morphism_map[f]]:
                 raise StructureError("double-functor-hid", f"morphism {f}")
-        for (kind, u, v) in c.hcomp:
-            if kind == "ob":
-                if self.f1.object_map[c.hob(u, v)] != d.hob(self.f1.object_map[u], self.f1.object_map[v]):
-                    raise StructureError("double-functor-hcomp", f"1-cells ({u}, {v})")
-            else:
-                if self.f1.morphism_map[c.hsq(u, v)] != d.hsq(self.f1.morphism_map[u], self.f1.morphism_map[v]):
-                    raise StructureError("double-functor-hcomp", f"squares ({u}, {v})")
+        for (kind, u, v), w in c.hcomp.items():
+            f, cells = (self.f1.object_map, "1-cells") if kind == "ob" else (self.f1.morphism_map, "squares")
+            if f[w] != d.hcomp[(kind, f[u], f[v])]:
+                raise StructureError("double-functor-hcomp", f"{cells} ({u}, {v})")

@@ -57,49 +57,99 @@ class Frozen:
 
 
 # ---------------------------------------------------------------------------
-# law kernels over row tables
+# laws of partial operations: tables {(x, y): x y} on the cells 0 .. n-1,
+# where x y is defined iff right[x] == left[y].  The cells y with left[y] == b
+# form the boundary class of b.
 
 
-def op_rows(n: int, entries) -> list[tuple[int, ...]]:
-    """Row table of a partial binary operation on the cells ``0 .. n-1``.
-
-    ``rows[x][y]`` is the value ``v`` of the entry ``((x, y), v)``, or the
-    sentinel ``n`` where there is none; row ``n`` and column ``n`` are all
-    sentinel.  Keys and values must already be known to be cells.
-    """
-    rows = [[n] * (n + 1) for _ in range(n + 1)]
-    for (x, y), v in entries:
-        rows[x][y] = v
-    return [tuple(row) for row in rows]
+def boundary_classes(left) -> dict[int, list[int]]:
+    """The members of each boundary class, ascending."""
+    classes: dict[int, list[int]] = {}
+    for y, b in enumerate(left):
+        classes.setdefault(b, []).append(y)
+    return classes
 
 
-def associativity_failure(rows, pairs) -> tuple[int, int, int] | None:
-    """The first ``(x, y, z)`` with ``(x y) z != x (y z)`` in the row table
-    ``rows`` (see ``op_rows``), taking ``pairs`` in order and ``z``
-    ascending.
+def totality_failure(table, right, left) -> tuple[int, int, str] | None:
+    """The least pair of cells ``(x, y)`` that is a key but does not
+    compose, as ``(x, y, "defined")``, or composes but is no key, as ``(x,
+    y, "missing")``; keys outside the cells are skipped.  Keys are distinct,
+    so every composable pair is a key iff there are as many composable keys
+    as composable pairs, sum_x |class of right[x]|; only if not are the
+    composable pairs walked, up to the first missing one."""
+    n, classes = len(right), boundary_classes(left)
+    stray, composable = None, 0
+    for key in table:
+        x, y = key
+        if 0 <= x < n and 0 <= y < n:
+            if right[x] == left[y]:
+                composable += 1
+            elif stray is None or key < stray:
+                stray = key
+    fails = [] if stray is None else [(*stray, "defined")]
+    if composable != sum(len(classes.get(b, ())) for b in right):
+        fails.append(next((x, y, "missing") for x in range(n) for y in classes.get(right[x], ())
+                          if (x, y) not in table))
+    return min(fails, default=None)
 
-    Once the boundary laws hold, the sentinel appears on both sides exactly
-    where a triple does not compose, so each pair is one row comparison
-    made in C, and only an unequal row is scanned in Python.
-    """
-    through = [itemgetter(*row) for row in rows]
-    for x, y in pairs:
-        row = rows[x]
-        left, right = rows[row[y]], through[y](row)
-        if left != right:
-            return x, y, next(z for z, v in enumerate(left) if v != right[z])
+
+def unit_failure(table, right, left, ident) -> int | None:
+    """The first cell ``x`` of a total table with ``x ident[right[x]] != x``
+    or ``ident[left[x]] x != x``."""
+    for x, (rb, lb) in enumerate(zip(right, left)):
+        if table[(x, ident[rb])] != x or table[(ident[lb], x)] != x:
+            return x
     return None
 
 
-def interchange_failure(vrows, hrows, vpairs, groups) -> tuple[int, int, int, int] | None:
-    """The first ``(q, p, q2, p2)`` with ``(q * q2) . (p * p2) !=
-    (q . p) * (q2 . p2)``, where ``.`` is the operation of the row table
-    ``vrows`` and ``*`` that of ``hrows`` (see ``op_rows``).
+def associativity_failure(table, right, left, pairs) -> tuple[int, int, int] | None:
+    """The first ``(x, y, z)`` with ``(x y) z != x (y z)``, taking ``pairs``
+    in order and ``z`` ascending, in a total table whose composites ``x y``
+    have the boundaries ``left[x]`` and ``right[y]``.
 
+    Row ``x`` holds ``x y`` for the ``y`` in the class of ``right[x]``, so
+    the rows take memory in proportion to the entries.  Over all ``z``,
+    ``(x y) z`` is row ``x y`` and ``x (y z)`` is row ``x`` read at the
+    positions of the values of row ``y``: one row comparison in C per pair.
+    """
+    classes = boundary_classes(left)
+    pos = [0] * len(left)
+    for members in classes.values():
+        for i, y in enumerate(members):
+            pos[y] = i
+    rows = [[0] * len(classes.get(b, ())) for b in right]
+    for (x, y), v in table.items():
+        rows[x][pos[y]] = v
+    rows = [tuple(row) for row in rows]
+    # itemgetter reads one position as an item, not as a 1-tuple
+    through = [itemgetter(*at) if len(at) > 1 else lambda row, at=at: tuple(row[i] for i in at)
+               for at in ([pos[v] for v in row] for row in rows)]
+    for x, y in pairs:
+        row = rows[x]
+        first, second = rows[row[pos[y]]], through[y](row)
+        if first != second:
+            return x, y, next(z for z, u, v in zip(classes[right[y]], first, second) if u != v)
+    return None
+
+
+def interchange_failure(n: int, vtable, htable, vpairs, groups) -> tuple[int, int, int, int] | None:
+    """The first ``(q, p, q2, p2)`` with ``(q * q2) . (p * p2) != (q . p) *
+    (q2 . p2)``, where ``.`` is ``vtable`` and ``*`` is ``htable``, total
+    operations on the cells ``0 .. n-1`` whose boundary laws hold.
     ``vpairs`` are the composable pairs ``(q, p, k)`` in order, each with
     the index ``k`` of the group in ``groups`` that holds, in order, the
     pairs ``(q2, p2)`` it is pasted onto.
+
+    The rows are dense, with the sentinel ``n`` where a pair does not
+    compose: the inner loop indexes one table by values read from the other,
+    which rows per boundary class would turn into a position lookup per
+    quadruple on the hottest loop of the law checks.
     """
+    vrows, hrows = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(2)]
+    for rows, table in ((vrows, vtable), (hrows, htable)):
+        for (x, y), v in table.items():
+            rows[x][y] = v
+    vrows, hrows = [list(map(tuple, rows)) for rows in (vrows, hrows)]
     for q, p, k in vpairs:
         hq, hp, hqp = hrows[q], hrows[p], hrows[vrows[q][p]]
         for q2, p2 in groups[k]:
@@ -131,11 +181,12 @@ class Monoid(Frozen):
             for y, v in enumerate(row):
                 if not 0 <= v < n:
                     raise StructureError("table-range", f"table[{x}][{y}] = {v} outside [0, {n})")
-        for x in range(n):
-            if table[unit][x] != x or table[x][unit] != x:
-                raise StructureError("unit-law", f"unit fails at element {x}")
-        rows = op_rows(n, (((x, y), v) for x, row in enumerate(table) for y, v in enumerate(row)))
-        fail = associativity_failure(rows, itertools.product(range(n), repeat=2))
+        # one boundary class: every pair composes
+        ops, ends = {(x, y): v for x, row in enumerate(table) for y, v in enumerate(row)}, (0,) * n
+        x = unit_failure(ops, ends, ends, (unit,))
+        if x is not None:
+            raise StructureError("unit-law", f"unit fails at element {x}")
+        fail = associativity_failure(ops, ends, ends, ops)
         if fail:
             raise StructureError("associativity", str(fail))
 
@@ -375,14 +426,13 @@ class FiniteCategory(Frozen):
                 raise StructureError("composition-domain", f"({g}, {f}) not composable")
             if dom[h] != dom[f] or cod[h] != cod[g]:
                 raise StructureError("composite-boundary", f"({g}, {f}) -> {h}")
-        for g in range(n_mor):
-            for f in range(n_mor):
-                if cod[f] == dom[g] and (g, f) not in comp:
-                    raise StructureError("composition-totality", f"({g}, {f}) missing")
-        for f in range(n_mor):
-            if comp[(f, identity[dom[f]])] != f or comp[(identity[cod[f]], f)] != f:
-                raise StructureError("identity-law", f"morphism {f}")
-        fail = associativity_failure(op_rows(n_mor, comp.items()), sorted(comp))
+        fail = totality_failure(comp, dom, cod)
+        if fail:
+            raise StructureError("composition-totality", f"({fail[0]}, {fail[1]}) missing")
+        f = unit_failure(comp, dom, cod, identity)
+        if f is not None:
+            raise StructureError("identity-law", f"morphism {f}")
+        fail = associativity_failure(comp, dom, cod, sorted(comp))
         if fail:
             raise StructureError("associativity", str(fail))
 
@@ -511,11 +561,13 @@ class StrictMonoidalCategory(Frozen):
     def _validate(self):
         base, unit, t_obj, t_mor = self.base, self.unit_obj, self.tensor_obj, self.tensor_mor
         n_obj, n_mor = base.n_objects, base.n_morphisms
-        for name, table, n in (("objects", t_obj, n_obj), ("morphisms", t_mor, n_mor)):
-            for a in range(n):
-                for b in range(n):
-                    if (a, b) not in table:
-                        raise StructureError("tensor-totality", f"{name} ({a}, {b})")
+        # each tensor has one boundary class: every pair composes
+        parts = (("objects", t_obj, (0,) * n_obj), ("morphisms", t_mor, (0,) * n_mor))
+        for name, table, ends in parts:
+            n = len(ends)
+            fail = totality_failure(table, ends, ends)
+            if fail:
+                raise StructureError("tensor-totality", f"{name} ({fail[0]}, {fail[1]})")
             if len(table) != n * n:
                 key = next(k for k in table if not (0 <= k[0] < n and 0 <= k[1] < n))
                 raise StructureError("tensor-totality", f"{name} {key} outside [0, {n})")
@@ -529,17 +581,12 @@ class StrictMonoidalCategory(Frozen):
                     raise StructureError("tensor-boundary", f"({f}, {g})")
         if not 0 <= unit < n_obj:
             raise StructureError("tensor-unit", f"unit object {unit} outside [0, {n_obj})")
-        for a in range(n_obj):
-            if t_obj[(unit, a)] != a or t_obj[(a, unit)] != a:
-                raise StructureError("tensor-unit", f"object {a}")
-        iu = base.identity[unit]
-        for f in range(n_mor):
-            if t_mor[(iu, f)] != f or t_mor[(f, iu)] != f:
-                raise StructureError("tensor-unit", f"morphism {f}")
-        mor_rows = op_rows(n_mor, t_mor.items())
-        for name, rows, n in (("objects", op_rows(n_obj, t_obj.items()), n_obj),
-                              ("morphisms", mor_rows, n_mor)):
-            fail = associativity_failure(rows, itertools.product(range(n), repeat=2))
+        for (name, table, ends), ident in zip(parts, (unit, base.identity[unit])):
+            x = unit_failure(table, ends, ends, (ident,))
+            if x is not None:
+                raise StructureError("tensor-unit", f"{name[:-1]} {x}")
+        for name, table, ends in parts:
+            fail = associativity_failure(table, ends, ends, itertools.product(range(len(ends)), repeat=2))
             if fail:
                 raise StructureError("tensor-associativity", f"{name} {fail}")
         for a in range(n_obj):
@@ -547,8 +594,8 @@ class StrictMonoidalCategory(Frozen):
                 if t_mor[(base.identity[a], base.identity[b])] != base.identity[t_obj[(a, b)]]:
                     raise StructureError("tensor-identity", f"({a}, {b})")
         # (g (x) g') o (f (x) f') = (g o f) (x) (g' o f') for all composable pairs
-        fail = interchange_failure(op_rows(n_mor, base.composition.items()), mor_rows,
-                                   [(g, f, 0) for g, f in base.composition], [list(base.composition)])
+        fail = interchange_failure(n_mor, base.composition, t_mor, [(g, f, 0) for g, f in base.composition],
+                                   [list(base.composition)])
         if fail:
             raise StructureError("interchange", str((fail[:2], fail[2:])))
 

@@ -154,11 +154,11 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
     identity = tuple(b.id2[x] for x in range(b.n1))
     keys = list(key_index)  # the (f, dom 1-cell, payload) key of each morphism
     comp: dict[tuple[int, int], int] = {}
-    n = len(dom)
-    for q in range(n):
-        for p in range(n):
-            if dom[q] != cod[p]:
-                continue
+    ending_at: list[list[int]] = [[] for _ in range(b.n1)]  # the morphisms into each 1-cell
+    for p, x in enumerate(cod):
+        ending_at[x].append(p)
+    for q, x in enumerate(dom):
+        for p in ending_at[x]:
             if not b.is_endo_1cell(dom[p]):
                 # both live in the non-endo part: plain vertical composition
                 comp[(q, p)] = b.vcomp[(q, p)]

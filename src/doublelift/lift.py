@@ -57,13 +57,13 @@ def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
     hcomp: dict[HKey, int] = {}
     for (x, y), z in b.hcomp1.items():
         hcomp[("ob", x, y)] = z
-    n = c1.n_morphisms
-    for p in range(n):
-        fp, gp, pp = ext.triples[p]
-        for q in range(n):
-            fq, gq, pq = ext.triples[q]
-            if gp != fq:
-                continue
+    # p pastes left of the squares whose left vertical side is p's right one
+    by_left: dict[int, list[int]] = {}
+    for q, (fq, _, _) in enumerate(ext.triples):
+        by_left.setdefault(fq, []).append(q)
+    for p, (fp, gp, pp) in enumerate(ext.triples):
+        for q in by_left.get(gp, ()):
+            pq = ext.triples[q][2]
             if ext.pair_info[p] is None and ext.pair_info[q] is None:
                 hcomp[("sq", p, q)] = b.hcomp2[(pp, pq)]
             elif ext.pair_info[p] is not None and ext.pair_info[q] is not None:

@@ -142,16 +142,27 @@ def _check_schema(value, shape, path: str) -> None:
                 _check_schema(item, sub, f"{path}[{i}]")
 
 
-def _decode(value, shape):
-    """Read a value that has passed _check_schema."""
+def _structure(value, kind: str, seen: list):
+    """Build a structure of ``kind`` from a value that has passed
+    _check_schema, and record both in ``seen``."""
+    cls, fields = KINDS[kind]
+    args = [_decode(value[key], sub, seen) if key in value else None for key, sub in fields.items()]
+    if cls is DoubleCategory:
+        c0, c1, src, tgt, hid, hcomp = args
+        args = [c0, c1, FunctorData(c1, c0, *src), FunctorData(c1, c0, *tgt),
+                FunctorData(c0, c1, *hid), hcomp]
+    structure = cls(*args)
+    seen.append((value, structure))
+    return structure
+
+
+def _decode(value, shape, seen: list):
+    """Read a field value that has passed _check_schema.  A nested
+    structure whose JSON is recorded in ``seen`` has passed its laws, and
+    is reused."""
     if isinstance(shape, str):
-        cls, fields = KINDS[shape]
-        args = [_decode(value[key], sub) if key in value else None for key, sub in fields.items()]
-        if cls is DoubleCategory:
-            c0, c1, src, tgt, hid, hcomp = args
-            args = [c0, c1, FunctorData(c1, c0, *src), FunctorData(c1, c0, *tgt),
-                    FunctorData(c0, c1, *hid), hcomp]
-        return cls(*args)
+        reused = [structure for prior, structure in seen if prior == value]
+        return reused[0] if reused else _structure(value, shape, seen)
     if shape is TABLE:
         return {(a, b): v for a, b, v in value}
     if shape is MAPPING:
@@ -161,24 +172,19 @@ def _decode(value, shape):
     if shape in ([int], NAMES):
         return tuple(value)
     if isinstance(shape, (list, tuple)):
-        return tuple(_decode(x, shape[0] if isinstance(shape, list) else shape[i])
+        return tuple(_decode(x, shape[0] if isinstance(shape, list) else shape[i], seen)
                      for i, x in enumerate(value))
     return value
-
-
-def from_obj(obj: dict[str, object]):
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise StructureError("unknown-kind", repr(kind))
-    _check_schema(obj, kind, "$")
-    return _decode(obj, kind)
 
 
 def dumps(value) -> str:
     return _object(value, "") + "\n"
 
 
-def loads(text: str):
+def loads(text: str, seen: list | None = None):
+    """The structure a JSON text describes.  ``seen`` records the structures
+    read so far; the loads of one command share it, so that a structure
+    embedded in several files is checked once."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -187,7 +193,11 @@ def loads(text: str):
         raise StructureError("parse-error", str(exc))
     if not isinstance(obj, dict):
         raise StructureError("parse-error", "top level must be an object")
-    return from_obj(obj)
+    kind = obj.get("kind")
+    if kind not in KINDS:
+        raise StructureError("unknown-kind", repr(kind))
+    _check_schema(obj, kind, "$")
+    return _structure(obj, kind, [] if seen is None else seen)
 
 
 def dump(value, path: str) -> None:
@@ -195,10 +205,10 @@ def dump(value, path: str) -> None:
         fh.write(dumps(value))
 
 
-def load(path: str):
+def load(path: str, seen: list | None = None):
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise StructureError("parse-error", f"not UTF-8: {exc.reason} at byte {exc.start}")
-    return loads(text)
+    return loads(text, seen)

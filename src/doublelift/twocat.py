@@ -21,27 +21,9 @@ from .fincat import (
     StrictMonoidalCategory,
     associativity_failure,
     interchange_failure,
-    op_rows,
+    totality_failure,
+    unit_failure,
 )
-
-
-def _check_table(table, n, right, left, fits, law: str, cells: str) -> None:
-    """Raise unless ``table`` is defined exactly on the pairs ``(x, y)`` of
-    cells ``0 .. n-1`` with ``right[x] == left[y]``, and each value ``v`` is
-    a cell with ``fits(x, y, v)``.  Law names are ``law`` plus a suffix and
-    details start with ``cells``."""
-    for x in range(n):
-        for y in range(n):
-            if right[x] == left[y]:
-                if (x, y) not in table:
-                    raise StructureError(f"{law}-totality", f"{cells}({x}, {y}) missing")
-            elif (x, y) in table:
-                raise StructureError(f"{law}-domain", f"{cells}({x}, {y}) not composable")
-    for (x, y), v in table.items():
-        if not (0 <= x < n and 0 <= y < n):
-            raise StructureError(f"{law}-domain", f"{cells}({x}, {y}) not composable")
-        if not 0 <= v < n or not fits(x, y, v):
-            raise StructureError(f"{law}-boundary", f"{cells}({x}, {y}) -> {v}")
 
 
 class StrictBicategory(Frozen):
@@ -76,42 +58,43 @@ class StrictBicategory(Frozen):
             if not 0 <= p < n2 or dom1[p] != x or cod1[p] != x:
                 raise StructureError("identity-boundary", f"id2 of 1-cell {x}")
 
-        # vertical structure: each parallel class is a category
-        _check_table(vcomp, n2, dom1, cod1, lambda q, p, r: dom1[r] == dom1[p] and cod1[r] == cod1[q],
-                     "vertical", "")
-        for p in range(n2):
-            if vcomp[(p, id2[dom1[p]])] != p or vcomp[(id2[cod1[p]], p)] != p:
-                raise StructureError("vertical-identity", f"2-cell {p}")
-        vrows = op_rows(n2, vcomp.items())
-        # (r q) p = r (q p) has its free 2-cell r on the left, so the kernel
-        # runs on the transposed rows, where it is on the right
-        fail = associativity_failure(list(zip(*vrows)), [(p, q) for q, p in vcomp])
-        if fail:
-            raise StructureError("vertical-associativity", str(fail[::-1]))
-
-        # horizontal structure on 1-cells
-        _check_table(hcomp1, n1, cod0, dom0, lambda x, y, z: dom0[z] == dom0[x] and cod0[z] == cod0[y],
-                     "horizontal", "1-cells ")
-        for x in range(n1):
-            if hcomp1[(id1[dom0[x]], x)] != x or hcomp1[(x, id1[cod0[x]])] != x:
-                raise StructureError("horizontal-unit", f"1-cell {x}")
-        fail = associativity_failure(op_rows(n1, hcomp1.items()), hcomp1)
-        if fail:
-            raise StructureError("horizontal-associativity", f"1-cells {fail}")
-
-        # horizontal structure on 2-cells
-        left = [dom0[x] for x in dom1]
-        right = [cod0[x] for x in dom1]
-        _check_table(hcomp2, n2, right, left,
-                     lambda p, q, r: dom1[r] == hcomp1[(dom1[p], dom1[q])]
-                     and cod1[r] == hcomp1[(cod1[p], cod1[q])], "horizontal", "2-cells ")
-        for p in range(n2):
-            if hcomp2[(id2[id1[left[p]]], p)] != p or hcomp2[(p, id2[id1[right[p]]])] != p:
-                raise StructureError("horizontal-unit", f"2-cell {p}")
-        hrows = op_rows(n2, hcomp2.items())
-        fail = associativity_failure(hrows, hcomp2)
-        if fail:
-            raise StructureError("horizontal-associativity", f"2-cells {fail}")
+        # vertical composition, then horizontal composition of 1-cells and of
+        # 2-cells, each a partial operation with its boundaries, identities
+        # and the law names and details of its failures
+        left, right = [dom0[x] for x in dom1], [cod0[x] for x in dom1]
+        parts = (
+            ("vertical", "", vcomp, n2, dom1, cod1,
+             lambda q, p, r: dom1[r] == dom1[p] and cod1[r] == cod1[q], id2, "vertical-identity", "2-cell"),
+            ("horizontal", "1-cells ", hcomp1, n1, cod0, dom0,
+             lambda x, y, z: dom0[z] == dom0[x] and cod0[z] == cod0[y], id1, "horizontal-unit", "1-cell"),
+            ("horizontal", "2-cells ", hcomp2, n2, right, left,
+             lambda p, q, r: dom1[r] == hcomp1[(dom1[p], dom1[q])] and cod1[r] == hcomp1[(cod1[p], cod1[q])],
+             [id2[x] for x in id1], "horizontal-unit", "2-cell"),
+        )
+        for law, cells, table, n, rb, lb, fits, ident, unit_law, cell in parts:
+            fail = totality_failure(table, rb, lb)
+            if fail:
+                kind, text = ("domain", "not composable") if fail[2] == "defined" else ("totality", "missing")
+                raise StructureError(f"{law}-{kind}", f"{cells}({fail[0]}, {fail[1]}) {text}")
+            for (x, y), v in table.items():
+                if not (0 <= x < n and 0 <= y < n):
+                    raise StructureError(f"{law}-domain", f"{cells}({x}, {y}) not composable")
+                if not 0 <= v < n or not fits(x, y, v):
+                    raise StructureError(f"{law}-boundary", f"{cells}({x}, {y}) -> {v}")
+            x = unit_failure(table, rb, lb, ident)
+            if x is not None:
+                raise StructureError(unit_law, f"{cell} {x}")
+            if table is vcomp:
+                # (r q) p = r (q p) has its free 2-cell r on the left, so the
+                # kernel runs on the opposite operation, where it is on the right
+                fail = associativity_failure({(p, q): v for (q, p), v in vcomp.items()}, cod1, dom1,
+                                             [(p, q) for q, p in vcomp])
+                if fail:
+                    raise StructureError("vertical-associativity", str(fail[::-1]))
+            else:
+                fail = associativity_failure(table, rb, lb, table)
+                if fail:
+                    raise StructureError("horizontal-associativity", f"{cells}{fail}")
         for (x, y), z in hcomp1.items():
             if hcomp2[(id2[x], id2[y])] != id2[z]:
                 raise StructureError("horizontal-identity", f"id2 tensor at ({x}, {y})")
@@ -121,7 +104,7 @@ class StrictBicategory(Frozen):
         groups: list[list[tuple[int, int]]] = [[] for _ in range(n0)]
         for q, p in vcomp:
             groups[left[p]].append((q, p))
-        fail = interchange_failure(vrows, hrows, [(q, p, right[p]) for q, p in vcomp], groups)
+        fail = interchange_failure(n2, vcomp, hcomp2, [(q, p, right[p]) for q, p in vcomp], groups)
         if fail:
             raise StructureError("interchange", str((fail[:2], fail[2:])))
 
@@ -189,14 +172,11 @@ def check_monoidal_map(b: StrictBicategory, a: int, c: int, m1: Mapping[int, int
             raise StructureError(f"{law}-composition", f"{where}, ({q}, {p})")
     if m1[b.id1[a]] != b.id1[c]:
         raise StructureError(f"{law}-monoidal-unit", where)
-    for x in src1:
-        for y in src1:
-            if m1[b.hcomp1[(x, y)]] != b.hcomp1[(m1[x], m1[y])]:
-                raise StructureError(f"{law}-monoidal", f"{where}, 1-cells ({x}, {y})")
-    for p in src2:
-        for q in src2:
-            if m2[b.hcomp2[(p, q)]] != b.hcomp2[(m2[p], m2[q])]:
-                raise StructureError(f"{law}-monoidal", f"{where}, 2-cells ({p}, {q})")
+    for cells, m, table, name in ((src1, m1, b.hcomp1, "1-cells"), (src2, m2, b.hcomp2, "2-cells")):
+        for x in cells:
+            for y in cells:
+                if m[table[(x, y)]] != table[(m[x], m[y])]:
+                    raise StructureError(f"{law}-monoidal", f"{where}, {name} ({x}, {y})")
 
 
 def suspend(d: StrictMonoidalCategory) -> StrictBicategory:

@@ -25,6 +25,8 @@ from doublelift.doublecat import (
 from doublelift.errors import StructureError
 from doublelift.fincat import FiniteCategory, FunctorData
 
+from support import discrete, trivial_double_category
+
 
 def oracle_axioms(c: DoubleCategory) -> list[tuple[str, bool, Optional[tuple]]]:
     c0, c1 = c.c0, c.c1
@@ -151,8 +153,12 @@ def _brute_force_quadruples(c: DoubleCategory) -> int:
 
 
 def _lift(corpus_lifts, index):
-    tag, ld = corpus_lifts[index % len(corpus_lifts)]
-    return tag, ld.dc
+    """A mutation input: a corpus lift, or the trivial double category over
+    the discrete category on three objects, where every boundary class of
+    each horizontal composition has one member."""
+    inputs = [(tag, ld.dc) for tag, ld in corpus_lifts]
+    inputs.append(("trivial:discrete3", trivial_double_category(discrete(3))))
+    return inputs[index % len(inputs)]
 
 
 def test_reports_agree_on_the_corpus(corpus_lifts):

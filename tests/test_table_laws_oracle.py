@@ -40,7 +40,7 @@ from doublelift.fincat import (
 from doublelift.lift import lift_data
 from doublelift.twocat import StrictBicategory, suspend
 
-from support import end_category, fixture_corpus
+from support import discrete, end_category, fixture_corpus
 
 
 def monoid_violations(table, unit) -> list[tuple[str, str]]:
@@ -332,7 +332,9 @@ def _seeds() -> dict[str, list[tuple[tuple, tuple]]]:
         if dec.bicat.n0 == dec.bicat.n1 == 1:
             monoids.extend(single_object_monoids(dec))
     lifts = [lift_data(dec, phi).dc for _, dec, phi in corpus[::3]]
+    # every boundary class of a discrete category has one member
     categories = [dec.decoration for _, dec, _ in corpus] + [c.c1 for c in lifts]
+    categories += [discrete(1), discrete(4)]
     functors = [f for c in lifts for f in (c.src, c.tgt, c.hid)]
 
     def category(c):
