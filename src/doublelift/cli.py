@@ -166,7 +166,10 @@ def cmd_example(args, report: Report) -> None:
             )
         report.info("gg", str(fx.gg).lower())
         return
-    # building the lift ran the axiom suite and raised on the first failed law
+    # the lift is built unchecked, by the lifting theorem: run the checks
+    # that loading it from a file runs, which raise on the first failed law
+    for part in (fx.dc.c1, fx.dc.src, fx.dc.tgt, fx.dc.hid, fx.dc):
+        part._validate()
     report.add("axioms", True)
     gd = gamma_data(fx.dc)
     report.info("vertical-length", str(len(gd.levels)))

@@ -172,8 +172,8 @@ def horizontalization(c: DoubleCategory) -> StrictBicategory:
     2-cell identifiers are the globular squares in ascending square order;
     0-cells and 1-cells keep the identifiers of c0-objects and c1-objects.
 
-    Precondition: ``c`` passed ``check_double_axioms``, or is a closed
-    sub-structure of a double category that did.  The bicategory laws of
+    Precondition: ``c`` passed ``check_double_axioms``, is a lift of checked
+    inputs, or is a closed sub-structure of either.  The bicategory laws of
     the result then follow from the double-category axioms, so it is built
     without running them again.
     """

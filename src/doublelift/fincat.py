@@ -493,10 +493,11 @@ def delooping(m: Monoid) -> FiniteCategory:
 def endomorphism_monoid_of_object(cat: FiniteCategory, obj: int) -> tuple[Monoid, tuple[int, ...]]:
     """The endomorphism monoid of ``obj`` plus the morphism id of each element.
 
-    ``cat`` must satisfy the category laws (it has passed them, or was cut
-    out of a category that has).  The monoid's unit and associativity laws
-    are then those of ``cat`` on the endomorphisms of ``obj``, so they are
-    not checked again.
+    ``cat`` must satisfy the category laws: it has passed them, was cut
+    out of a category that has, or is one by construction, as the extended
+    total category of a checked pre-cosheaf is.  The monoid's unit and
+    associativity laws are then those of ``cat`` on the endomorphisms of
+    ``obj``, so they are not checked again.
     """
     elements = tuple(cat.hom(obj, obj))
     pos = {f: i for i, f in enumerate(elements)}
@@ -553,10 +554,10 @@ class StrictMonoidalCategory(Frozen):
     _fields = ("base", "unit_obj", "tensor_obj", "tensor_mor")
 
     def __init__(self, base: FiniteCategory, unit_obj: int, tensor_obj: Mapping[tuple[int, int], int],
-                 tensor_mor: Mapping[tuple[int, int], int]):
+                 tensor_mor: Mapping[tuple[int, int], int], validate: bool = True):
         vars(self).update(base=base, unit_obj=unit_obj, tensor_obj=dict(tensor_obj),
                           tensor_mor=dict(tensor_mor))
-        self.__post_init__()
+        self.__post_init__(validate)
 
     def _validate(self):
         base, unit, t_obj, t_mor = self.base, self.unit_obj, self.tensor_obj, self.tensor_mor
@@ -604,13 +605,15 @@ def monoidal_delooping(m: Monoid) -> StrictMonoidalCategory:
     """Delooping of a commutative monoid with tensor given by the product.
 
     Eckmann-Hilton: the delooping of a non-commutative monoid carries no
-    strict monoidal structure with tensor = product, so we reject it.
+    strict monoidal structure with tensor = product, so we reject it.  For
+    a commutative ``m`` that satisfies the monoid laws, every monoidal law
+    of the result is a monoid law, so they are not checked again.
     """
     if not m.is_commutative:
         raise StructureError("eckmann-hilton", "monoid must be commutative")
     base = delooping(m)
     tensor_mor = {(f, g): m.mul(f, g) for f in range(m.size) for g in range(m.size)}
-    return StrictMonoidalCategory(base, 0, {(0, 0): 0}, tensor_mor)
+    return StrictMonoidalCategory(base, 0, {(0, 0): 0}, tensor_mor, validate=False)
 
 
 def semidirect_product(n: Monoid, m: Monoid, action: MonoidAction) -> Monoid:

@@ -116,6 +116,11 @@ class ExtendedTotal(Frozen):
 
 
 def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
+    """The extended total category of ``phi`` over ``dec``.
+
+    Precondition: checked ``dec`` and ``phi``.  Its category is then a
+    category by the Grothendieck construction, so it is not checked.
+    """
     if phi.dec != dec:
         raise StructureError("fiber-constraint", "pre-cosheaf is not attached to this decoration")
     b = dec.bicat
@@ -168,6 +173,6 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
                 fp, xp, pp = keys[p]
                 comp[(q, p)] = key_index[(bstar.compose(fq, fp), xp,
                                           b.vcomp[(pq, phi.on_cells2[fq][pp])])]
-    cat = FiniteCategory(b.n1, tuple(dom), tuple(cod), identity, comp)
+    cat = FiniteCategory(b.n1, tuple(dom), tuple(cod), identity, comp, validate=False)
     return ExtendedTotal(cat, tuple(triples), tuple(pair_info), key_index)
 

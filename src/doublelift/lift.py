@@ -33,26 +33,25 @@ class LiftData(Frozen):
 
 
 def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
+    """The lift of ``dec`` along ``phi`` with its construction data.
+
+    Precondition: checked ``dec`` and ``phi``: the result is a double
+    category by the lifting theorem, so its ``c1``, its three structure
+    functors and its axioms are not checked.  Its horizontalization is
+    still compared with ``dec``.
+    """
     b = dec.bicat
     bstar = dec.decoration
     ext = extended_total(dec, phi)
     c1 = ext.cat
 
-    src = FunctorData(
-        c1, bstar,
-        tuple(b.dom0[x] for x in range(b.n1)),
-        tuple(t[0] for t in ext.triples),
-    )
-    tgt = FunctorData(
-        c1, bstar,
-        tuple(b.cod0[x] for x in range(b.n1)),
-        tuple(t[1] for t in ext.triples),
-    )
+    src = FunctorData(c1, bstar, b.dom0, tuple(t[0] for t in ext.triples), validate=False)
+    tgt = FunctorData(c1, bstar, b.cod0, tuple(t[1] for t in ext.triples), validate=False)
     hid_mor = []
     for f in range(bstar.n_morphisms):
         a, bb = bstar.dom[f], bstar.cod[f]
         hid_mor.append(ext.key_index[(f, b.id1[a], b.id2[b.id1[bb]])])
-    hid = FunctorData(bstar, c1, tuple(b.id1), tuple(hid_mor))
+    hid = FunctorData(bstar, c1, tuple(b.id1), tuple(hid_mor), validate=False)
 
     hcomp: dict[HKey, int] = {}
     for (x, y), z in b.hcomp1.items():
@@ -73,7 +72,7 @@ def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
             # a pair square and a bicategory 2-cell never share a side:
             # one side is a non-identity, the other an identity
 
-    dc = DoubleCategory(bstar, c1, src, tgt, hid, hcomp)
+    dc = DoubleCategory(bstar, c1, src, tgt, hid, hcomp, validate=False)
     hstar = decorated_horizontalization(dc)
     if hstar != dec:
         raise StructureError("horizontalization-mismatch",
@@ -82,6 +81,7 @@ def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
 
 
 def lift(dec: DecoratedBicategory, phi: Precosheaf) -> DoubleCategory:
+    """The double category of ``lift_data``, under the same precondition."""
     return lift_data(dec, phi).dc
 
 
@@ -142,8 +142,9 @@ def lift_functor(eta: PrecosheafMap, src_ld: LiftData, tgt_ld: LiftData) -> Doub
 
     It is the identity on the decoration, on non-endo cells, and on the
     1-cell part only when the components fix all endo 1-cells.  Lifting is
-    functorial in the pre-cosheaf: a checked map between checked lifts
-    gives a double functor by construction, so it is not checked again.
+    functorial in the pre-cosheaf: a checked map between the lifts of its
+    checked source and target gives a double functor by construction, so
+    it is not checked again.
     """
     if src_ld.phi != eta.phi or tgt_ld.phi != eta.psi:
         raise StructureError("wiring", "lifts are not those of the map's source and target")

@@ -9,6 +9,9 @@ list or a bool; or drops or duplicates one row, an entry of a list whose
 entries are lists.  ``serialize.loads`` must then return a structure or
 raise a ``StructureError`` that names a law, never another exception, and
 ``doublelift check`` on the file must exit 0, or exit 1 naming that law.
+The same mutations of the DEC or PHI file of a corpus entry must make
+``doublelift lift`` exit 1 naming a law, or write a lift that ``doublelift
+check`` accepts.
 """
 
 from __future__ import annotations
@@ -67,16 +70,21 @@ def _at(obj, path):
     return obj
 
 
+def _run(argv) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of the command line ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _check(obj) -> tuple[int, str]:
     """Exit status and report of ``doublelift check`` on the file ``obj``."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "mutant.json")
         with open(path, "w") as fh:
             json.dump(obj, fh)
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = run(["check", path])
-    return code, out.getvalue()
+        return _run(["check", path])[:2]
 
 
 def test_the_seeds_cover_every_kind():
@@ -101,48 +109,99 @@ def _draw_seed(data):
     return json.loads(data.draw(st.sampled_from(_seed_texts())))
 
 
-@settings(deadline=None)
-@given(data=st.data())
-def test_single_integer_mutations_end_in_a_named_law(data):
-    obj = _draw_seed(data)
+# The mutations: each changes ``obj`` in place and returns the path it changed.
+
+
+def _set_integer(data, obj):
     paths = _int_paths(obj)
     path = data.draw(st.sampled_from(paths))
     n = 1 + max(_at(obj, p) for p in paths)
     old = _at(obj, path)
     _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from([-1, n, old + 1, old - 1, 0]))
-    _assert_loads_or_names_a_law(obj, path)
+    return path
+
+
+def _drop_key(data, obj):
+    path = data.draw(st.sampled_from([p for p, _ in _walk(obj) if isinstance(p[-1], str)]))
+    del _at(obj, path[:-1])[path[-1]]
+    return path
+
+
+def _retype_integer(data, obj):
+    path = data.draw(st.sampled_from(_int_paths(obj)))
+    old = _at(obj, path)
+    _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from([str(old), [old], True, False]))
+    return path
+
+
+def _drop_or_duplicate_row(data, obj):
+    path = data.draw(st.sampled_from([p for p, v in _walk(obj) if isinstance(p[-1], int) and type(v) is list]))
+    rows, i = _at(obj, path[:-1]), path[-1]
+    if data.draw(st.booleans()):
+        rows.insert(i, rows[i])
+    else:
+        del rows[i]
+    return path
+
+
+MUTATIONS = (_set_integer, _drop_key, _retype_integer, _drop_or_duplicate_row)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_single_integer_mutations_end_in_a_named_law(data):
+    obj = _draw_seed(data)
+    _assert_loads_or_names_a_law(obj, _set_integer(data, obj))
 
 
 @settings(deadline=None)
 @given(data=st.data())
 def test_dropped_keys_end_in_a_named_law(data):
     obj = _draw_seed(data)
-    path = data.draw(st.sampled_from([p for p, _ in _walk(obj) if isinstance(p[-1], str)]))
-    del _at(obj, path[:-1])[path[-1]]
-    _assert_loads_or_names_a_law(obj, path)
+    _assert_loads_or_names_a_law(obj, _drop_key(data, obj))
 
 
 @settings(deadline=None)
 @given(data=st.data())
 def test_retyped_integers_end_in_a_named_law(data):
     obj = _draw_seed(data)
-    path = data.draw(st.sampled_from(_int_paths(obj)))
-    old = _at(obj, path)
-    _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from([str(old), [old], True, False]))
-    _assert_loads_or_names_a_law(obj, path)
+    _assert_loads_or_names_a_law(obj, _retype_integer(data, obj))
 
 
 @settings(deadline=None)
-@given(data=st.data(), duplicate=st.booleans())
-def test_dropped_or_duplicated_rows_end_in_a_named_law(data, duplicate):
+@given(data=st.data())
+def test_dropped_or_duplicated_rows_end_in_a_named_law(data):
     obj = _draw_seed(data)
-    path = data.draw(st.sampled_from([p for p, v in _walk(obj) if isinstance(p[-1], int) and type(v) is list]))
-    rows, i = _at(obj, path[:-1]), path[-1]
-    if duplicate:
-        rows.insert(i, rows[i])
-    else:
-        del rows[i]
-    _assert_loads_or_names_a_law(obj, path)
+    _assert_loads_or_names_a_law(obj, _drop_or_duplicate_row(data, obj))
+
+
+@lru_cache(maxsize=None)
+def _lift_inputs() -> tuple[tuple[str, str], ...]:
+    """The DEC and PHI files of every corpus entry."""
+    return tuple((dumps(dec), dumps(phi)) for _, dec, phi in fixture_corpus())
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_mutated_lift_inputs_end_in_a_named_law_or_a_lift_that_passes_check(data):
+    # lift builds its output unchecked, relying on the lifting theorem for
+    # inputs that pass their laws; check reads the output back with every law
+    files = list(data.draw(st.sampled_from(_lift_inputs())))
+    which = data.draw(st.sampled_from([0, 1]))
+    obj = json.loads(files[which])
+    path = data.draw(st.sampled_from(MUTATIONS))(data, obj)
+    files[which] = json.dumps(obj)
+    with tempfile.TemporaryDirectory() as d:
+        dec, phi, out = (os.path.join(d, name) for name in ("dec.json", "phi.json", "out.json"))
+        for name, text in zip((dec, phi), files):
+            with open(name, "w") as fh:
+                fh.write(text)
+        code, report, err = _run(["lift", dec, phi, "-o", out])
+        if code == 0:
+            assert _run(["check", out])[0] == 0, (which, path)
+        else:
+            law = err.removeprefix("first failing law: ").rstrip("\n")
+            assert code == 1 and law and f"FAIL  {law}: " in report, (which, path, report, err)
 
 
 def _semidirect_dec():
