@@ -58,16 +58,11 @@ def pi_functor(c: DoubleCategory) -> DoubleFunctor:
 def _comparison(c: DoubleCategory, ld: LiftData) -> DoubleFunctor:
     """pi_functor for c, given the lift of the pre-cosheaf extracted from c."""
     glob = sorted(globular_squares(c))
-    mor_map = []
-    for j in range(ld.dc.c1.n_morphisms):
-        info = ld.ext.pair_info[j]
-        if info is None:
-            mor_map.append(glob[j])
-        else:
-            g, _, payload = info
-            mor_map.append(c.c1.compose(glob[payload], c.hid.morphism_map[g]))
+    # a 2-cell is the pair over the identity, whose i_id is an identity square
+    mor_map = tuple(c.c1.compose(glob[payload], c.hid.morphism_map[g])
+                    for g, _, payload in ld.ext.triples)
     f0 = FunctorData.identity(c.c0)
-    f1 = FunctorData(ld.dc.c1, c.c1, (0,), tuple(mor_map))
+    f1 = FunctorData(ld.dc.c1, c.c1, (0,), mor_map)
     df = DoubleFunctor(f0, f1)
     df.check(ld.dc, c)
     if set(f1.morphism_map) != set(range(c.c1.n_morphisms)):

@@ -143,19 +143,20 @@ def vertical_length(c: DoubleCategory) -> int:
 def v1_membership(ld: LiftData, square: int) -> tuple[bool, tuple[int, int] | None]:
     """Decide whether a pair square (f, phi) lies in the first chain level.
 
-    The search looks for a factorization through the horizontal identity of
-    f: a pair of 2-cells psi: top -> i_a and eta: i_b -> bottom with
-    eta . i_f . psi equal to the square.  The result is cross-checked
-    against direct chain membership.
+    The pair squares are ``n2 <= square < c1.n_morphisms``; any other
+    ``square`` fails ``not-a-pair-square``.  The search looks for a
+    factorization through the horizontal identity of f: a pair of 2-cells
+    psi: top -> i_a and eta: i_b -> bottom with eta . i_f . psi equal to
+    the square.  The result is cross-checked against chain membership.
     """
-    if ld.ext.pair_info[square] is None:
-        raise StructureError("not-a-pair-square", f"square {square}")
     b = ld.dec.bicat
+    if not b.n2 <= square < ld.dc.c1.n_morphisms:
+        raise StructureError("not-a-pair-square", f"square {square}")
     bstar = ld.dec.decoration
-    f, top, _ = ld.ext.pair_info[square]
+    f = ld.ext.triples[square][0]
     a, bb = bstar.dom[f], bstar.cod[f]
     i_f = ld.dc.hid.morphism_map[f]
-    bottom = ld.dc.c1.cod[square]
+    top, bottom = ld.dc.c1.dom[square], ld.dc.c1.cod[square]
 
     witness = None
     for psi in b.cells2_between(top, b.id1[a]):

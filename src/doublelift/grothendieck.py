@@ -98,25 +98,25 @@ class ExtendedTotal(Frozen):
     payload: Phi_f(x) -> x', is the full subcategory of ``cat`` on the endo
     1-cells.
 
-    Morphism ``j`` for ``j < n2`` is the 2-cell ``j`` of the bicategory;
-    higher identifiers are the pair morphisms (f, alpha, payload) with f a
-    non-identity decoration morphism.  ``triples[j]`` is the (f, g, payload)
-    triple of each morphism, whose vertical sides f and g are both
+    Morphism ``j`` is the 2-cell ``j`` of the bicategory for ``j < n2``, the
+    pair over the identity of its left 0-cell since Phi_id = id, and a pair
+    over a non-identity decoration morphism for ``j >= n2``.  ``triples[j]``
+    is its (f, g, payload) triple, whose vertical sides f and g are both
     identities or equal, and whose top and bottom 1-cells are ``cat.dom[j]``
-    and ``cat.cod[j]``; ``pair_info[j]`` is the (f, dom 1-cell, payload) key
-    of a pair morphism, or None.
-    ``key_index`` maps each morphism's key to it and is not compared.
+    and ``cat.cod[j]``.  ``key_index`` maps each key (f, ``cat.dom[j]``,
+    payload) to ``j`` and is not compared.
     """
 
-    _fields = ("cat", "triples", "pair_info")
+    _fields = ("cat", "triples")
 
-    def __init__(self, cat: FiniteCategory, triples, pair_info,
+    def __init__(self, cat: FiniteCategory, triples,
                  key_index: Mapping[tuple[int, int, int], int]):
-        vars(self).update(cat=cat, triples=triples, pair_info=pair_info, key_index=key_index)
+        vars(self).update(cat=cat, triples=triples, key_index=key_index)
 
 
 def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
-    """The extended total category of ``phi`` over ``dec``.
+    """The extended total category of ``phi`` over ``dec``: the 2-cells,
+    keyed over the identity of their left 0-cell, then the pairs ``j >= n2``.
 
     Precondition: checked ``dec`` and ``phi``.  Its category is then a
     category by the Grothendieck construction, so it is not checked.
@@ -129,7 +129,6 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
     dom: list[int] = []
     cod: list[int] = []
     triples: list[tuple[int, int, int]] = []
-    pair_info: list[tuple[int, int, int] | None] = []
     key_index: dict[tuple[int, int, int], int] = {}
 
     for p in range(b.n2):
@@ -138,7 +137,6 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
         dom.append(b.dom1[p])
         cod.append(b.cod1[p])
         triples.append((f, g, p))
-        pair_info.append(None)
         key_index[(f, b.dom1[p], p)] = p
 
     for f in range(bstar.n_morphisms):
@@ -153,7 +151,6 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
                 dom.append(x)
                 cod.append(b.cod1[p])
                 triples.append((f, f, p))
-                pair_info.append((f, x, p))
                 key_index[(f, x, p)] = idx
 
     identity = tuple(b.id2[x] for x in range(b.n1))
@@ -174,5 +171,5 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
                 comp[(q, p)] = key_index[(bstar.compose(fq, fp), xp,
                                           b.vcomp[(pq, phi.on_cells2[fq][pp])])]
     cat = FiniteCategory(b.n1, tuple(dom), tuple(cod), identity, comp, validate=False)
-    return ExtendedTotal(cat, tuple(triples), tuple(pair_info), key_index)
+    return ExtendedTotal(cat, tuple(triples), key_index)
 

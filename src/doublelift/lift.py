@@ -1,10 +1,10 @@
 """Lifting a decorated bicategory along a monoidal pre-cosheaf to a double
 category, and the functoriality of the construction in the pre-cosheaf.
 
-The lifted double category has c0 = the decoration, c1 = the extended total
-category, and horizontal composition given by the horizontal composition of
-the bicategory on 2-cells and by pasting payloads on pair squares sharing a
-vertical side.
+The lifted double category has c0 = the decoration and c1 = the extended
+total category, whose squares are the pairs (f, payload), a 2-cell being the
+pair over an identity.  Squares sharing a vertical side f paste to the pair
+over f of the horizontal composites of their top 1-cells and payloads.
 """
 
 from __future__ import annotations
@@ -62,15 +62,8 @@ def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
         by_left.setdefault(fq, []).append(q)
     for p, (fp, gp, pp) in enumerate(ext.triples):
         for q in by_left.get(gp, ()):
-            pq = ext.triples[q][2]
-            if ext.pair_info[p] is None and ext.pair_info[q] is None:
-                hcomp[("sq", p, q)] = b.hcomp2[(pp, pq)]
-            elif ext.pair_info[p] is not None and ext.pair_info[q] is not None:
-                # pair squares sharing their middle vertical side f
-                top = b.hcomp1[(c1.dom[p], c1.dom[q])]
-                hcomp[("sq", p, q)] = ext.key_index[(fp, top, b.hcomp2[(pp, pq)])]
-            # a pair square and a bicategory 2-cell never share a side:
-            # one side is a non-identity, the other an identity
+            top = b.hcomp1[(c1.dom[p], c1.dom[q])]
+            hcomp[("sq", p, q)] = ext.key_index[(fp, top, b.hcomp2[(pp, ext.triples[q][2])])]
 
     dc = DoubleCategory(bstar, c1, src, tgt, hid, hcomp, validate=False)
     hstar = decorated_horizontalization(dc)
@@ -159,19 +152,12 @@ def lift_functor(eta: PrecosheafMap, src_ld: LiftData, tgt_ld: LiftData) -> Doub
         else:
             obj_map.append(x)
     mor_map = []
-    for j in range(src_ld.ext.cat.n_morphisms):
-        info = src_ld.ext.pair_info[j]
-        if info is None:
-            p = j
-            x = b.dom1[p]
-            if b.is_endo_1cell(x):
-                mor_map.append(eta.comp2[b.dom0[x]][p])
-            else:
-                mor_map.append(p)
+    for j, (f, _, payload) in enumerate(src_ld.ext.triples):
+        x = src_ld.ext.cat.dom[j]
+        if b.is_endo_1cell(x):
+            mor_map.append(tgt_ld.ext.key_index[(f, obj_map[x], eta.comp2[bstar.cod[f]][payload])])
         else:
-            f, x, payload = info
-            a, bb = bstar.dom[f], bstar.cod[f]
-            mor_map.append(tgt_ld.ext.key_index[(f, eta.comp1[a][x], eta.comp2[bb][payload])])
+            mor_map.append(j)
 
     f0 = FunctorData.identity(bstar)
     f1 = FunctorData(src_ld.ext.cat, tgt_ld.ext.cat, tuple(obj_map), tuple(mor_map),

@@ -14,6 +14,7 @@ table is one %-template, and every string goes through json's C escaper.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from operator import add
 
@@ -159,22 +160,27 @@ def _structure(value, kind: str, seen: list):
 def _decode(value, shape, seen: list):
     """Read a field value that has passed _check_schema.  A nested
     structure whose JSON is recorded in ``seen`` has passed its laws, and
-    is reused."""
+    is reused.  A table whose rows repeat a key fails ``schema``."""
     if isinstance(shape, str):
         reused = [structure for prior, structure in seen if prior == value]
         return reused[0] if reused else _structure(value, shape, seen)
     if shape is TABLE:
-        return {(a, b): v for a, b, v in value}
-    if shape is MAPPING:
-        return {k: v for k, v in value}
-    if shape is HCOMP:
-        return {(kind, u, v): w for kind, u, v, w in value}
-    if shape in ([int], NAMES):
+        table = {(a, b): v for a, b, v in value}
+    elif shape is MAPPING:
+        table = {k: v for k, v in value}
+    elif shape is HCOMP:
+        table = {(kind, u, v): w for kind, u, v, w in value}
+    elif shape in ([int], NAMES):
         return tuple(value)
-    if isinstance(shape, (list, tuple)):
+    elif isinstance(shape, (list, tuple)):
         return tuple(_decode(x, shape[0] if isinstance(shape, list) else shape[i], seen)
                      for i, x in enumerate(value))
-    return value
+    else:
+        return value
+    if len(table) != len(value):
+        keys = Counter(json.dumps(row[:-1]) for row in value)
+        raise StructureError("schema", "repeated key " + next(k for k, n in keys.items() if n > 1))
+    return table
 
 
 def dumps(value) -> str:

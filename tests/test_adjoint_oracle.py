@@ -112,12 +112,12 @@ def oracle_lift_functor(eta):
     obj_map = [eta.comp1[b.dom0[x]][x] if b.is_endo_1cell(x) else x for x in range(b.n1)]
     mor_map = []
     for j in range(src_ld.ext.cat.n_morphisms):
-        info = src_ld.ext.pair_info[j]
-        if info is None:
+        if j < b.n2:
             x = b.dom1[j]
             mor_map.append(eta.comp2[b.dom0[x]][j] if b.is_endo_1cell(x) else j)
         else:
-            f, x, payload = info
+            f, _, payload = src_ld.ext.triples[j]
+            x = src_ld.ext.cat.dom[j]
             a, bb = bstar.dom[f], bstar.cod[f]
             mor_map.append(tgt_ld.ext.key_index[(f, eta.comp1[a][x], eta.comp2[bb][payload])])
     df = DoubleFunctor(FunctorData.identity(bstar),

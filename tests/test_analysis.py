@@ -77,14 +77,12 @@ def test_v1_membership_agrees_with_the_chain(corpus_lifts):
         chain = vertical_chain(ld.dc)
         gd = gamma_data(ld.dc)
         v1 = {gd.square_ids[p] for p in chain[0]}
-        for p in range(ld.dc.c1.n_morphisms):
-            if ld.ext.pair_info[p] is None:
-                continue
+        for p in range(ld.dec.bicat.n2, ld.dc.c1.n_morphisms):  # the pair squares
             member, witness = v1_membership(ld, p)
             assert member == (p in v1), (tag, p)
             if member:
                 psi, eta = witness
-                i_f = ld.dc.hid.morphism_map[ld.ext.pair_info[p][0]]
+                i_f = ld.dc.hid.morphism_map[ld.ext.triples[p][0]]
                 composite = ld.dc.c1.compose(
                     eta, ld.dc.c1.compose(i_f, psi))
                 assert composite == p, (tag, p)
@@ -94,6 +92,18 @@ def test_v1_membership_rejects_globular_input():
     ld = semidirect_lift(Monoid.cyclic(3), Monoid.cyclic(2), MonoidAction.inversion(Monoid.cyclic(3)))
     with pytest.raises(StructureError, match="not-a-pair-square"):
         v1_membership(ld, 0)
+
+
+def test_v1_membership_rejects_squares_outside_the_pair_range():
+    # the pair squares are n2 .. n_morphisms - 1; -1 used to read the last
+    # pair square and n_morphisms to raise a bare IndexError
+    ld = semidirect_lift(Monoid.cyclic(3), Monoid.cyclic(2), MonoidAction.inversion(Monoid.cyclic(3)))
+    n2, n = ld.dec.bicat.n2, ld.dc.c1.n_morphisms
+    assert (n2, n) == (3, 6)
+    for square in (n2 - 1, -1, n):
+        with pytest.raises(StructureError, match="not-a-pair-square") as err:
+            v1_membership(ld, square)
+        assert err.value.detail == f"square {square}"
 
 
 def test_folding_absent_for_the_inversion_action():

@@ -131,9 +131,7 @@ def test_two_object_fixture_lifts():
     assert fx.dc.c1.n_objects == 3
     # exactly one non-globular square: the decoration morphism a -> b with
     # the single payload at i_b
-    pairs = [p for p in range(fx.dc.c1.n_morphisms)
-             if fx.ext.pair_info[p] is not None]
-    assert len(pairs) == 1
+    assert fx.dc.c1.n_morphisms - fx.dec.bicat.n2 == 1
 
 
 def test_rank_and_kronecker_basics():

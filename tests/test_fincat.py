@@ -226,7 +226,7 @@ def test_structures_are_frozen_values_compared_by_their_tables():
     assert StrictBicategory(b.n0, b.dom0, b.cod0, b.dom1, b.cod1, b.id1, b.id2, b.vcomp, b.hcomp1,
                             b.hcomp2) == b
     fx = fixture_by_name("semidirect:z3:z2:inv")
-    assert ExtendedTotal(fx.ext.cat, fx.ext.triples, fx.ext.pair_info, {}) == fx.ext
+    assert ExtendedTotal(fx.ext.cat, fx.ext.triples, {}) == fx.ext
     assert Monoid(((0, 1), (1, 0))) != Monoid(((0, 1), (1, 1)))
 
     # equal fields in a different class are not equal, in either order

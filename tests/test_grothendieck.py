@@ -93,10 +93,11 @@ def test_extended_total_keeps_two_cell_identifiers():
         assert ext.cat.dom[p] == b.dom1[p]
         assert ext.cat.cod[p] == b.cod1[p]
         assert ext.triples[p][2] == p
-        assert ext.pair_info[p] is None
+        # keyed as the pair over the identity of its left 0-cell
+        assert ext.key_index[(dec.decoration.identity[b.dom0[b.dom1[p]]], b.dom1[p], p)] == p
     # pair morphisms follow, one per (f, payload) here
     assert ext.cat.n_morphisms == 6
-    assert ext.pair_info[3] is not None
+    assert not dec.decoration.is_identity(ext.triples[3][0])
 
 
 def test_extended_total_composition_twists_by_the_action():

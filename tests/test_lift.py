@@ -45,6 +45,16 @@ def _assert_equals_its_checked_rebuild(ld):
     assert dumps(loads(text)) == text
 
 
+def _assert_one_key_per_square(ld):
+    """Each square j is the pair keyed (f, top 1-cell, payload), 2-cells
+    included, and the globular squares are exactly the 2-cells 0..n2-1:
+    the invariant that pasting and lifted functors rely on."""
+    c1 = ld.ext.cat
+    for j, (f, _, payload) in enumerate(ld.ext.triples):
+        assert ld.ext.key_index[(f, c1.dom[j], payload)] == j
+    assert {j for j in range(c1.n_morphisms) if ld.dc.is_globular(j)} == set(range(ld.dec.bicat.n2))
+
+
 def test_every_corpus_lift_equals_its_checked_rebuild(corpus_lifts):
     for tag, ld in corpus_lifts:
         _assert_equals_its_checked_rebuild(ld)
@@ -74,6 +84,7 @@ def test_drawn_semidirect_lifts_equal_their_checked_rebuilds(data):
     m, n = data.draw(_monoids()), data.draw(_monoids())
     ld = semidirect_lift(n, m, data.draw(st.sampled_from(_actions(m, n))))
     _assert_equals_its_checked_rebuild(ld)
+    _assert_one_key_per_square(ld)
     # the action reads back off the lift, twist included
     assert single_object_precosheaf(ld.dc) == ld.phi
 
@@ -84,7 +95,9 @@ def test_drawn_graded_lifts_equal_their_checked_rebuilds(data):
     g, h = data.draw(_monoids()), data.draw(_monoids())
     dec = decorate(delooping(g), suspend(graded_category(g, h)))
     action = data.draw(st.sampled_from(_actions(g, h)))
-    _assert_equals_its_checked_rebuild(lift_data(dec, object_fixing_precosheaf(dec, g, h, action)))
+    ld = lift_data(dec, object_fixing_precosheaf(dec, g, h, action))
+    _assert_equals_its_checked_rebuild(ld)
+    _assert_one_key_per_square(ld)
 
 
 def test_two_cells_keep_their_identifiers(corpus_lifts):
@@ -148,10 +161,11 @@ def test_horizontal_identity_squares():
 def test_square_triple_shape(corpus_lifts):
     for tag, ld in corpus_lifts:
         b, bstar, c1 = ld.dec.bicat, ld.dec.decoration, ld.ext.cat
+        _assert_one_key_per_square(ld)
         for p in range(ld.dc.c1.n_morphisms):
             f, g, payload = ld.ext.triples[p]
             assert (f, g) == (ld.dc.src.morphism_map[p], ld.dc.tgt.morphism_map[p]), tag
-            if ld.ext.pair_info[p] is None:
+            if p < b.n2:
                 # a 2-cell of the bicategory between its own boundary 1-cells
                 assert bstar.is_identity(f) and bstar.is_identity(g), tag
                 assert payload == p, tag
@@ -159,7 +173,6 @@ def test_square_triple_shape(corpus_lifts):
             else:
                 # a pair square: equal non-identity sides, payload out of Phi_f(top)
                 assert not bstar.is_identity(f) and f == g, tag
-                assert ld.ext.pair_info[p] == (f, c1.dom[p], payload), tag
                 assert b.dom1[payload] == ld.phi.on_cells1[f][c1.dom[p]], tag
                 assert c1.cod[p] == b.cod1[payload], tag
 

@@ -435,6 +435,53 @@ def test_precosheaf_schema_violations_name_the_json_path(keys, value, where):
     assert err.value.detail == where
 
 
+def _repeat_first_key(obj, keys, row):
+    """A copy of ``obj`` with ``row`` put before the first row of the table
+    at ``keys``, whose key it repeats with another value: a dict of the
+    rows would keep the true row, the last, and pass its laws."""
+    obj = json.loads(json.dumps(obj))
+    rows = obj
+    for key in keys:
+        rows = rows[key]
+    assert rows[0][:-1] == row[:-1] and rows[0] != row
+    rows.insert(0, row)
+    return obj
+
+
+@pytest.mark.parametrize("kind, keys, row, key", [
+    ("category", ["composition"], [0, 0, 1], "[0, 0]"),
+    ("double-category", ["hcomp"], ["ob", 0, 0, 1], '["ob", 0, 0]'),
+    ("precosheaf", ["on_cells2", 1], [0, 1], "[0]"),
+], ids=["category-composition", "double-category-hcomp", "precosheaf-on-cells2"])
+def test_cli_check_reports_a_repeated_key(tmp_path, capsys, kind, keys, row, key):
+    from doublelift.lift import lift
+
+    dec, phi = _semidirect_parts()
+    value = {"category": dec.decoration, "double-category": lift(dec, phi), "precosheaf": phi}[kind]
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(_repeat_first_key(json.loads(dumps(value)), keys, row)))
+    assert run(["check", str(path)]) == 1
+    assert f"FAIL  load: schema: repeated key {key}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("which, keys, row, key", [
+    (0, ["decoration", "composition"], [0, 0, 1], "[0, 0]"),
+    (1, ["on_cells2", 1], [0, 1], "[0]"),
+], ids=["decoration-composition", "precosheaf-on-cells2"])
+def test_cli_lift_reports_a_repeated_key(tmp_path, capsys, which, keys, row, key):
+    paths = [_write(tmp_path, name, value)
+             for name, value in zip(("dec.json", "phi.json"), _semidirect_parts())]
+    with open(paths[which]) as fh:
+        obj = _repeat_first_key(json.load(fh), keys, row)
+    with open(paths[which], "w") as fh:
+        json.dump(obj, fh)
+    assert run(["lift", *paths, "-o", str(tmp_path / "out.json")]) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL  schema: repeated key {key}\n" in captured.out
+    assert captured.err == "first failing law: schema\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_cli_reports_a_directory_as_a_file_error(tmp_path, capsys):
     assert run(["check", str(tmp_path)]) == 1
     captured = capsys.readouterr()
