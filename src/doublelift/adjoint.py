@@ -60,7 +60,7 @@ def _comparison(c: DoubleCategory, ld: LiftData) -> DoubleFunctor:
     glob = sorted(globular_squares(c))
     # a 2-cell is the pair over the identity, whose i_id is an identity square
     mor_map = tuple(c.c1.compose(glob[payload], c.hid.morphism_map[g])
-                    for g, _, payload in ld.ext.triples)
+                    for g, _, payload in ld.key_index)
     f0 = FunctorData.identity(c.c0)
     f1 = FunctorData(ld.dc.c1, c.c1, (0,), mor_map)
     df = DoubleFunctor(f0, f1)

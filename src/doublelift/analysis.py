@@ -153,7 +153,7 @@ def v1_membership(ld: LiftData, square: int) -> tuple[bool, tuple[int, int] | No
     if not b.n2 <= square < ld.dc.c1.n_morphisms:
         raise StructureError("not-a-pair-square", f"square {square}")
     bstar = ld.dec.decoration
-    f = ld.ext.triples[square][0]
+    f = ld.dc.src.morphism_map[square]
     a, bb = bstar.dom[f], bstar.cod[f]
     i_f = ld.dc.hid.morphism_map[f]
     top, bottom = ld.dc.c1.dom[square], ld.dc.c1.cod[square]

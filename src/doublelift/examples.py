@@ -37,9 +37,9 @@ class SemidirectFixture(LiftData):
 
     _fields = LiftData._fields + ("semidirect", "endo_monoid", "bijection")
 
-    def __init__(self, dec, phi, ext, dc, semidirect: Monoid, endo_monoid: Monoid,
+    def __init__(self, dec, phi, key_index, dc, semidirect: Monoid, endo_monoid: Monoid,
                  bijection: tuple[int, ...]):
-        vars(self).update(dec=dec, phi=phi, ext=ext, dc=dc, semidirect=semidirect,
+        vars(self).update(dec=dec, phi=phi, key_index=key_index, dc=dc, semidirect=semidirect,
                           endo_monoid=endo_monoid, bijection=bijection)
 
 
@@ -54,13 +54,13 @@ def build_semidirect_fixture(n: Monoid, m: Monoid, action: MonoidAction) -> Semi
     ld = lift_data(dec, phi)
     sd = semidirect_product(n, m, action)
 
-    endo, elements = endomorphism_monoid_of_object(ld.ext.cat, 0)
-    if elements != tuple(range(ld.ext.cat.n_morphisms)):
+    endo, elements = endomorphism_monoid_of_object(ld.dc.c1, 0)
+    if elements != tuple(range(ld.dc.c1.n_morphisms)):
         raise StructureError("semidirect-isomorphism", "some square is not an endomorphism")
     bij = []
     for x in range(n.size):
         for y in range(m.size):
-            bij.append(ld.ext.key_index[(y, 0, x)])
+            bij.append(ld.key_index[(y, 0, x)])
     if sorted(bij) != list(range(sd.size)):
         raise StructureError("semidirect-isomorphism", "squares are not in bijection with N x| M")
     try:
@@ -131,8 +131,8 @@ class GradedFixture(LiftData):
 
     _fields = LiftData._fields + ("twisted",)
 
-    def __init__(self, dec, phi, ext, dc, twisted: StrictMonoidalCategory):
-        vars(self).update(dec=dec, phi=phi, ext=ext, dc=dc, twisted=twisted)
+    def __init__(self, dec, phi, key_index, dc, twisted: StrictMonoidalCategory):
+        vars(self).update(dec=dec, phi=phi, key_index=key_index, dc=dc, twisted=twisted)
 
 
 def build_graded_fixture(g: Monoid, h: Monoid, action: MonoidAction) -> GradedFixture:
@@ -158,10 +158,11 @@ def build_graded_fixture(g: Monoid, h: Monoid, action: MonoidAction) -> GradedFi
     nh = h.size
     # morphism x * nh + e is the square on the unit 1-cell with vertical
     # side x whose payload is the element e of H at the unit degree
-    squares = [ld.ext.key_index[(m // nh, g.unit, g.unit * nh + m % nh)] for m in range(g.size * nh)]
+    squares = [ld.key_index[(m // nh, g.unit, g.unit * nh + m % nh)] for m in range(g.size * nh)]
+    keys = tuple(ld.key_index)
 
     def decode(sq: int) -> int:
-        f, _, payload = ld.ext.triples[sq]
+        f, _, payload = keys[sq]
         return f * nh + payload % nh
 
     comp, tensor_mor = {}, {}
@@ -394,7 +395,7 @@ def build_mat_fixture(nmax: int) -> MatReport:
 
 
 def _monoid_by_token(token: str) -> Monoid:
-    if token.startswith("z") and token[1:].isdigit():
+    if token.startswith("z") and token[1:].isdecimal():
         return Monoid.cyclic(int(token[1:]))
     if token == "flag":
         return Monoid.flag()
@@ -425,7 +426,7 @@ def fixture_by_name(name: str):
     if kind == "graded" and len(parts) == 4:
         g, h = _monoid_by_token(parts[1]), _monoid_by_token(parts[2])
         return build_graded_fixture(g, h, _action_by_token(parts[3], g, h))
-    if kind == "mat" and len(parts) == 2 and parts[1].isdigit():
+    if kind == "mat" and len(parts) == 2 and parts[1].isdecimal():
         return build_mat_fixture(int(parts[1]))
     if kind in ("constant", "identity") and len(parts) == 3:
         bstar = _monoid_by_token(parts[1])

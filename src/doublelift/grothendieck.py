@@ -5,11 +5,12 @@ A pre-cosheaf assigns to each 0-cell ``a`` the endomorphism category
 End_B(a) (this is forced, so we store no fiber data) and to each decoration
 morphism ``f: a -> b`` a strict monoidal functor End_B(a) -> End_B(b),
 recorded directly as maps on the bicategory's 1- and 2-cells.
+
+The extended total category keeps one record per morphism, its key (f, top
+1-cell, payload), off which its sides, 1-cells and payload are read.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
 
 from .errors import StructureError
 from .fincat import FiniteCategory, Frozen, MonoidAction
@@ -90,35 +91,20 @@ def constant_precosheaf(dec: DecoratedBicategory) -> Precosheaf:
 # the extended total category
 
 
-class ExtendedTotal(Frozen):
-    """The disjoint union of the Grothendieck total category and the
-    non-endo cells, with objects identified with the 1-cells of the
-    bicategory.  The total category, whose objects are the pairs (decoration
-    object, endo 1-cell) and whose morphisms are the pairs (f, payload) with
-    payload: Phi_f(x) -> x', is the full subcategory of ``cat`` on the endo
-    1-cells.
+def extended_total(dec: DecoratedBicategory, phi: Precosheaf
+                   ) -> tuple[FiniteCategory, dict[tuple[int, int, int], int]]:
+    """The extended total category of ``phi`` over ``dec``, on the 1-cells
+    of the bicategory, and its key index.  It is the disjoint union of the
+    non-endo cells and the Grothendieck total category, its full subcategory
+    on the endo 1-cells, whose morphisms are the pairs (f, payload) with
+    payload: Phi_f(x) -> x'.
 
-    Morphism ``j`` is the 2-cell ``j`` of the bicategory for ``j < n2``, the
-    pair over the identity of its left 0-cell since Phi_id = id, and a pair
-    over a non-identity decoration morphism for ``j >= n2``.  ``triples[j]``
-    is its (f, g, payload) triple, whose vertical sides f and g are both
-    identities or equal, and whose top and bottom 1-cells are ``cat.dom[j]``
-    and ``cat.cod[j]``.  ``key_index`` maps each key (f, ``cat.dom[j]``,
-    payload) to ``j`` and is not compared.
-    """
+    ``key_index`` maps the key (f, x, payload) of each morphism x -> x' to
+    its index, in square order: the 2-cells ``0..n2-1``, each the pair over
+    the identity of its left 0-cell since Phi_id = id, then the pairs over
+    non-identity decoration morphisms.
 
-    _fields = ("cat", "triples")
-
-    def __init__(self, cat: FiniteCategory, triples,
-                 key_index: Mapping[tuple[int, int, int], int]):
-        vars(self).update(cat=cat, triples=triples, key_index=key_index)
-
-
-def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
-    """The extended total category of ``phi`` over ``dec``: the 2-cells,
-    keyed over the identity of their left 0-cell, then the pairs ``j >= n2``.
-
-    Precondition: checked ``dec`` and ``phi``.  Its category is then a
+    Precondition: checked ``dec`` and ``phi``.  The category is then a
     category by the Grothendieck construction, so it is not checked.
     """
     if phi.dec != dec:
@@ -126,35 +112,20 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
     b = dec.bicat
     bstar = dec.decoration
 
-    dom: list[int] = []
-    cod: list[int] = []
-    triples: list[tuple[int, int, int]] = []
-    key_index: dict[tuple[int, int, int], int] = {}
-
-    for p in range(b.n2):
-        f = bstar.identity[b.dom0[b.dom1[p]]]
-        g = bstar.identity[b.cod0[b.dom1[p]]]
-        dom.append(b.dom1[p])
-        cod.append(b.cod1[p])
-        triples.append((f, g, p))
-        key_index[(f, b.dom1[p], p)] = p
-
+    key_index = {(bstar.identity[b.dom0[b.dom1[p]]], b.dom1[p], p): p for p in range(b.n2)}
     for f in range(bstar.n_morphisms):
         if bstar.is_identity(f):
             continue
         for x in b.endo_cells[bstar.dom[f]][0]:
             fx = phi.on_cells1[f][x]
             for p in b.endo_cells[bstar.cod[f]][1]:
-                if b.dom1[p] != fx:
-                    continue
-                idx = len(dom)
-                dom.append(x)
-                cod.append(b.cod1[p])
-                triples.append((f, f, p))
-                key_index[(f, x, p)] = idx
+                if b.dom1[p] == fx:
+                    key_index[(f, x, p)] = len(key_index)
 
+    keys = list(key_index)
+    dom = tuple(x for _, x, _ in keys)
+    cod = tuple(b.cod1[p] for _, _, p in keys)
     identity = tuple(b.id2[x] for x in range(b.n1))
-    keys = list(key_index)  # the (f, dom 1-cell, payload) key of each morphism
     comp: dict[tuple[int, int], int] = {}
     ending_at: list[list[int]] = [[] for _ in range(b.n1)]  # the morphisms into each 1-cell
     for p, x in enumerate(cod):
@@ -170,6 +141,5 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf) -> ExtendedTotal:
                 fp, xp, pp = keys[p]
                 comp[(q, p)] = key_index[(bstar.compose(fq, fp), xp,
                                           b.vcomp[(pq, phi.on_cells2[fq][pp])])]
-    cat = FiniteCategory(b.n1, tuple(dom), tuple(cod), identity, comp, validate=False)
-    return ExtendedTotal(cat, tuple(triples), key_index)
-
+    cat = FiniteCategory(b.n1, dom, cod, identity, comp, validate=False)
+    return cat, key_index

@@ -3,8 +3,9 @@ category, and the functoriality of the construction in the pre-cosheaf.
 
 The lifted double category has c0 = the decoration and c1 = the extended
 total category, whose squares are the pairs (f, payload), a 2-cell being the
-pair over an identity.  Squares sharing a vertical side f paste to the pair
-over f of the horizontal composites of their top 1-cells and payloads.
+pair over an identity, each known by its key (f, top 1-cell, payload).
+Squares sharing a vertical side f paste to the pair over f of the horizontal
+composites of their top 1-cells and payloads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from .doublecat import DoubleCategory, DoubleFunctor, HKey, decorated_horizontalization
 from .errors import StructureError
 from .fincat import Frozen, FunctorData
-from .grothendieck import ExtendedTotal, Precosheaf, extended_total
+from .grothendieck import Precosheaf, extended_total
 from .twocat import DecoratedBicategory, check_monoidal_map
 
 
@@ -22,14 +23,16 @@ class LiftData(Frozen):
     The objects of ``dc.c1`` are the 1-cells of the bicategory with their
     original identifiers, and squares ``0..n2-1`` are its 2-cells, so the
     horizontalization of ``dc`` is the input decorated bicategory on the
-    nose; ``ext`` keeps the triple of each square.
+    nose.  ``key_index`` maps the key (f, top 1-cell, payload) of each
+    square to it in square order, the 2-cells ``0..n2-1`` first, then the
+    pair squares; it is compared, so equal lifts have equal payloads.
     """
 
-    _fields = ("dec", "phi", "ext", "dc")
+    _fields = ("dec", "phi", "key_index", "dc")
 
-    def __init__(self, dec: DecoratedBicategory, phi: Precosheaf, ext: ExtendedTotal,
-                 dc: DoubleCategory):
-        vars(self).update(dec=dec, phi=phi, ext=ext, dc=dc)
+    def __init__(self, dec: DecoratedBicategory, phi: Precosheaf,
+                 key_index: dict[tuple[int, int, int], int], dc: DoubleCategory):
+        vars(self).update(dec=dec, phi=phi, key_index=key_index, dc=dc)
 
 
 def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
@@ -42,35 +45,36 @@ def lift_data(dec: DecoratedBicategory, phi: Precosheaf) -> LiftData:
     """
     b = dec.bicat
     bstar = dec.decoration
-    ext = extended_total(dec, phi)
-    c1 = ext.cat
+    c1, key_index = extended_total(dec, phi)
 
-    src = FunctorData(c1, bstar, b.dom0, tuple(t[0] for t in ext.triples), validate=False)
-    tgt = FunctorData(c1, bstar, b.cod0, tuple(t[1] for t in ext.triples), validate=False)
+    src = FunctorData(c1, bstar, b.dom0, tuple(f for f, _, _ in key_index), validate=False)
+    # a 2-cell's right side is the identity of its top 1-cell's right 0-cell
+    tgt_mor = tuple(f if j >= b.n2 else bstar.identity[b.cod0[x]]
+                    for j, (f, x, _) in enumerate(key_index))
+    tgt = FunctorData(c1, bstar, b.cod0, tgt_mor, validate=False)
     hid_mor = []
     for f in range(bstar.n_morphisms):
         a, bb = bstar.dom[f], bstar.cod[f]
-        hid_mor.append(ext.key_index[(f, b.id1[a], b.id2[b.id1[bb]])])
+        hid_mor.append(key_index[(f, b.id1[a], b.id2[b.id1[bb]])])
     hid = FunctorData(bstar, c1, tuple(b.id1), tuple(hid_mor), validate=False)
 
     hcomp: dict[HKey, int] = {}
     for (x, y), z in b.hcomp1.items():
         hcomp[("ob", x, y)] = z
     # p pastes left of the squares whose left vertical side is p's right one
-    by_left: dict[int, list[int]] = {}
-    for q, (fq, _, _) in enumerate(ext.triples):
-        by_left.setdefault(fq, []).append(q)
-    for p, (fp, gp, pp) in enumerate(ext.triples):
-        for q in by_left.get(gp, ()):
-            top = b.hcomp1[(c1.dom[p], c1.dom[q])]
-            hcomp[("sq", p, q)] = ext.key_index[(fp, top, b.hcomp2[(pp, ext.triples[q][2])])]
+    by_left: dict[int, list[tuple[int, int, int]]] = {}
+    for q, (fq, xq, aq) in enumerate(key_index):
+        by_left.setdefault(fq, []).append((q, xq, aq))
+    for p, (fp, xp, ap) in enumerate(key_index):
+        for q, xq, aq in by_left.get(tgt_mor[p], ()):
+            hcomp[("sq", p, q)] = key_index[(fp, b.hcomp1[(xp, xq)], b.hcomp2[(ap, aq)])]
 
     dc = DoubleCategory(bstar, c1, src, tgt, hid, hcomp, validate=False)
     hstar = decorated_horizontalization(dc)
     if hstar != dec:
         raise StructureError("horizontalization-mismatch",
                              "lift does not restrict to its input decorated bicategory")
-    return LiftData(dec, phi, ext, dc)
+    return LiftData(dec, phi, key_index, dc)
 
 
 def lift(dec: DecoratedBicategory, phi: Precosheaf) -> DoubleCategory:
@@ -152,14 +156,13 @@ def lift_functor(eta: PrecosheafMap, src_ld: LiftData, tgt_ld: LiftData) -> Doub
         else:
             obj_map.append(x)
     mor_map = []
-    for j, (f, _, payload) in enumerate(src_ld.ext.triples):
-        x = src_ld.ext.cat.dom[j]
+    for j, (f, x, payload) in enumerate(src_ld.key_index):
         if b.is_endo_1cell(x):
-            mor_map.append(tgt_ld.ext.key_index[(f, obj_map[x], eta.comp2[bstar.cod[f]][payload])])
+            mor_map.append(tgt_ld.key_index[(f, obj_map[x], eta.comp2[bstar.cod[f]][payload])])
         else:
             mor_map.append(j)
 
     f0 = FunctorData.identity(bstar)
-    f1 = FunctorData(src_ld.ext.cat, tgt_ld.ext.cat, tuple(obj_map), tuple(mor_map),
+    f1 = FunctorData(src_ld.dc.c1, tgt_ld.dc.c1, tuple(obj_map), tuple(mor_map),
                      validate=False)
     return DoubleFunctor(f0, f1)

@@ -1,7 +1,7 @@
 """Canonical JSON serialization for every structure kind.
 
 Every file is a JSON object with a top-level "kind" tag.  Composition and
-tensor tables are stored as arrays of [lhs, rhs, result] triples sorted
+tensor tables are stored as arrays of [lhs, rhs, result] rows sorted
 lexicographically, and dumps always emits sorted keys, so the canonical
 form of a value is unique and round-trips byte for byte.
 
@@ -27,7 +27,7 @@ from .twocat import DecoratedBicategory, StrictBicategory
 # Field shapes: int and str are leaves, [t] is a list of t, (t, u, ...) a
 # list of exactly those entries, and a kind name a nested object of that
 # kind.  The shapes below are compared by identity, since each is stored in
-# a different form: a table as sorted [lhs, rhs, result] triples, a map as
+# a different form: a table as sorted [lhs, rhs, result] rows, a map as
 # sorted [key, value] pairs, a functor as its object and morphism maps, and
 # the horizontal composition as sorted [kind, lhs, rhs, result] entries.
 TABLE = [(int, int, int)]

@@ -37,14 +37,14 @@ _check_category, _check_functor = FiniteCategory._validate, FunctorData._validat
 def every_lift_is_checked():
     build = LiftData.__init__
 
-    def checked(self, dec, phi, ext, dc):
+    def checked(self, dec, phi, key_index, dc):
         _check_category(dc.c1)
         for functor in (dc.src, dc.tgt, dc.hid):
             _check_functor(functor)
         for law, ok, witness in check_double_axioms(dc):
             if not ok:
                 raise StructureError(law, repr(witness))
-        build(self, dec, phi, ext, dc)
+        build(self, dec, phi, key_index, dc)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LiftData, "__init__", checked)

@@ -70,20 +70,23 @@ def test_criterion_2_interchange_identity(corpus_lifts):
     ok = True
     for tag, ld in corpus_lifts:
         b = ld.dec.bicat
-        ext, dc, phi = ld.ext, ld.dc, ld.phi
+        dc, phi = ld.dc, ld.phi
+        # the vertical sides and payload of each square
+        sides = [(f, g, a) for f, g, (_, _, a) in zip(dc.src.morphism_map, dc.tgt.morphism_map,
+                                                      ld.key_index)]
         n = dc.c1.n_morphisms
         for p in range(n):
-            fp, gp, ap = ext.triples[p]
+            fp, gp, ap = sides[p]
             for q in range(n):
-                fq, gq, aq = ext.triples[q]
+                fq, gq, aq = sides[q]
                 if gp != fq:
                     continue
                 for p2 in range(n):
-                    fp2, gp2, ap2 = ext.triples[p2]
+                    fp2, gp2, ap2 = sides[p2]
                     if fp2 != gp or dc.c1.dom[p2] != dc.c1.cod[p]:
                         continue
                     for q2 in range(n):
-                        fq2, gq2, aq2 = ext.triples[q2]
+                        fq2, gq2, aq2 = sides[q2]
                         if gp2 != fq2 or dc.c1.dom[q2] != dc.c1.cod[q]:
                             continue
                         big = dc.hsq(dc.c1.compose(p2, p), dc.c1.compose(q2, q))
@@ -93,7 +96,7 @@ def test_criterion_2_interchange_identity(corpus_lifts):
                             twisted = lower
                         else:
                             twisted = phi.on_cells2[fp2][lower]
-                        ok = ok and ext.triples[big][2] == b.vcomp[(upper, twisted)]
+                        ok = ok and sides[big][2] == b.vcomp[(upper, twisted)]
                         checked += 1
     ok = ok and checked > 0
     _line(2, ok, f"interchange payload identity holds on {checked} composable quadruples")

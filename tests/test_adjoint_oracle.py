@@ -110,18 +110,19 @@ def oracle_lift_functor(eta):
     b = eta.phi.dec.bicat
     bstar = eta.phi.dec.decoration
     obj_map = [eta.comp1[b.dom0[x]][x] if b.is_endo_1cell(x) else x for x in range(b.n1)]
+    payload_of = {j: payload for (_, _, payload), j in src_ld.key_index.items()}
     mor_map = []
-    for j in range(src_ld.ext.cat.n_morphisms):
+    for j in range(src_ld.dc.c1.n_morphisms):
         if j < b.n2:
             x = b.dom1[j]
             mor_map.append(eta.comp2[b.dom0[x]][j] if b.is_endo_1cell(x) else j)
         else:
-            f, _, payload = src_ld.ext.triples[j]
-            x = src_ld.ext.cat.dom[j]
+            f = src_ld.dc.src.morphism_map[j]
+            x = src_ld.dc.c1.dom[j]
             a, bb = bstar.dom[f], bstar.cod[f]
-            mor_map.append(tgt_ld.ext.key_index[(f, eta.comp1[a][x], eta.comp2[bb][payload])])
+            mor_map.append(tgt_ld.key_index[(f, eta.comp1[a][x], eta.comp2[bb][payload_of[j]])])
     df = DoubleFunctor(FunctorData.identity(bstar),
-                       FunctorData(src_ld.ext.cat, tgt_ld.ext.cat, tuple(obj_map), tuple(mor_map)))
+                       FunctorData(src_ld.dc.c1, tgt_ld.dc.c1, tuple(obj_map), tuple(mor_map)))
     df.check(src_ld.dc, tgt_ld.dc)
     return df
 

@@ -82,7 +82,7 @@ def test_v1_membership_agrees_with_the_chain(corpus_lifts):
             assert member == (p in v1), (tag, p)
             if member:
                 psi, eta = witness
-                i_f = ld.dc.hid.morphism_map[ld.ext.triples[p][0]]
+                i_f = ld.dc.hid.morphism_map[ld.dc.src.morphism_map[p]]
                 composite = ld.dc.c1.compose(
                     eta, ld.dc.c1.compose(i_f, psi))
                 assert composite == p, (tag, p)

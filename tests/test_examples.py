@@ -182,10 +182,12 @@ def test_fixture_by_name_round_trips():
     assert fixture_by_name("mat:4").nmax == 4
     assert fixture_by_name("twoobject").dec.bicat.n0 == 2
     assert fixture_by_name("constant:flag:z3").dc.c1.n_morphisms == 6
-    with pytest.raises(StructureError, match="unknown-fixture"):
-        fixture_by_name("nonsense")
-    with pytest.raises(StructureError, match="unknown-fixture"):
-        fixture_by_name("semidirect:z3:z3:inv")
+    # "²" is a digit but not a decimal one, so int() rejects it; int()
+    # reads any decimal digit, such as the Arabic-Indic four
+    assert fixture_by_name("mat:\u0664").nmax == 4
+    for name in ("nonsense", "semidirect:z3:z3:inv", "semidirect:z²:z2:triv", "mat:²"):
+        with pytest.raises(StructureError, match="unknown-fixture"):
+            fixture_by_name(name)
 
 
 def test_matmul_names_mismatched_shapes():

@@ -125,7 +125,7 @@ def test_endomorphism_monoids_equal_a_validated_rebuild(corpus_lifts):
     # endomorphism_monoid_of_object skips the monoid laws, which the category
     # has already passed; the checking constructor must accept each table
     for tag, ld in corpus_lifts:
-        for cat in (ld.dec.decoration, ld.ext.cat, ld.dc.c0, ld.dc.c1):
+        for cat in (ld.dec.decoration, ld.dc.c0, ld.dc.c1):
             for obj in range(cat.n_objects):
                 m, _ = endomorphism_monoid_of_object(cat, obj)
                 assert m == Monoid(m.table, m.unit), (tag, obj)
@@ -209,11 +209,10 @@ def test_restrict_checks_closure(subset, detail):
 def test_structures_are_frozen_values_compared_by_their_tables():
     from doublelift.analysis import Folding
     from doublelift.examples import fixture_by_name
-    from doublelift.grothendieck import ExtendedTotal
     from doublelift.lift import LiftData, lift_data
     from doublelift.twocat import StrictBicategory, suspend
 
-    # names and the key index are metadata: equality and hashing ignore them
+    # names are metadata: equality and hashing ignore them
     z3 = Monoid.cyclic(3)
     renamed = Monoid(z3.table, z3.unit, ("a", "b", "c"))
     assert renamed.names != z3.names and renamed == z3 and hash(renamed) == hash(z3)
@@ -226,16 +225,15 @@ def test_structures_are_frozen_values_compared_by_their_tables():
     assert StrictBicategory(b.n0, b.dom0, b.cod0, b.dom1, b.cod1, b.id1, b.id2, b.vcomp, b.hcomp1,
                             b.hcomp2) == b
     fx = fixture_by_name("semidirect:z3:z2:inv")
-    assert ExtendedTotal(fx.ext.cat, fx.ext.triples, {}) == fx.ext
     assert Monoid(((0, 1), (1, 0))) != Monoid(((0, 1), (1, 1)))
 
     # equal fields in a different class are not equal, in either order
-    ld = LiftData(fx.dec, fx.phi, fx.ext, fx.dc)
+    ld = LiftData(fx.dec, fx.phi, fx.key_index, fx.dc)
     assert ld == lift_data(fx.dec, fx.phi)
     assert ld != fx and fx != ld and not ld == fx
 
     for value, name in ((z3, "unit"), (z3, "names"), (cat, "dom"), (b, "names1"), (fx, "dc"),
-                        (fx, "semidirect"), (fx.ext, "key_index")):
+                        (fx, "semidirect")):
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
         with pytest.raises(AttributeError):

@@ -75,7 +75,7 @@ def test_total_category_is_the_semidirect_delooping():
     dec = _semidirect_dec(z3, z2)
     phi = precosheaf_from_action(dec, MonoidAction.inversion(z3))
     # over a one-object decoration the total category is all of the extended one
-    tot = extended_total(dec, phi).cat
+    tot, _ = extended_total(dec, phi)
     assert tot.n_objects == 1
     assert tot.n_morphisms == 6
     monoid, _ = endomorphism_monoid_of_object(tot, 0)
@@ -87,30 +87,31 @@ def test_extended_total_keeps_two_cell_identifiers():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
     dec = _semidirect_dec(z3, z2)
     phi = precosheaf_from_action(dec, MonoidAction.trivial(z2, z3))
-    ext = extended_total(dec, phi)
+    cat, key_index = extended_total(dec, phi)
+    keys = tuple(key_index)
     b = dec.bicat
     for p in range(b.n2):
-        assert ext.cat.dom[p] == b.dom1[p]
-        assert ext.cat.cod[p] == b.cod1[p]
-        assert ext.triples[p][2] == p
+        assert cat.dom[p] == b.dom1[p]
+        assert cat.cod[p] == b.cod1[p]
+        assert keys[p][2] == p
         # keyed as the pair over the identity of its left 0-cell
-        assert ext.key_index[(dec.decoration.identity[b.dom0[b.dom1[p]]], b.dom1[p], p)] == p
+        assert key_index[(dec.decoration.identity[b.dom0[b.dom1[p]]], b.dom1[p], p)] == p
     # pair morphisms follow, one per (f, payload) here
-    assert ext.cat.n_morphisms == 6
-    assert not dec.decoration.is_identity(ext.triples[3][0])
+    assert cat.n_morphisms == 6
+    assert not dec.decoration.is_identity(keys[3][0])
 
 
 def test_extended_total_composition_twists_by_the_action():
     z2, z3 = Monoid.cyclic(2), Monoid.cyclic(3)
     dec = _semidirect_dec(z3, z2)
     phi = precosheaf_from_action(dec, MonoidAction.inversion(z3))
-    ext = extended_total(dec, phi)
+    cat, key_index = extended_total(dec, phi)
     # (1, x) . (1, y) = (0, x + inv(y)) = the 2-cell x - y
     for x in range(3):
         for y in range(3):
-            q = ext.key_index[(1, 0, x)]
-            p = ext.key_index[(1, 0, y)]
-            assert ext.cat.compose(q, p) == (x - y) % 3
+            q = key_index[(1, 0, x)]
+            p = key_index[(1, 0, y)]
+            assert cat.compose(q, p) == (x - y) % 3
 
 
 def test_mismatched_precosheaf_is_rejected():

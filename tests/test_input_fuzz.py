@@ -211,7 +211,7 @@ def _semidirect_dec():
 
 # Inputs that ended in a bare IndexError or KeyError before ids were
 # range-checked, with the law they now fail.  Tables are stored as sorted
-# [lhs, rhs, result] triples, so [0, 2] is the first result.
+# [lhs, rhs, result] rows, so [0, 2] is the first result.
 @pytest.mark.parametrize("path, value, law", [
     (("bicat", "vcomp", 0, 2), 999, "vertical-boundary"),
     (("bicat", "vcomp", 0, 2), -1, "vertical-boundary"),

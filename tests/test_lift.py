@@ -1,3 +1,4 @@
+import hashlib
 from functools import lru_cache
 
 import pytest
@@ -46,18 +47,42 @@ def _assert_equals_its_checked_rebuild(ld):
 
 
 def _assert_one_key_per_square(ld):
-    """Each square j is the pair keyed (f, top 1-cell, payload), 2-cells
-    included, and the globular squares are exactly the 2-cells 0..n2-1:
-    the invariant that pasting and lifted functors rely on."""
-    c1 = ld.ext.cat
-    for j, (f, _, payload) in enumerate(ld.ext.triples):
-        assert ld.ext.key_index[(f, c1.dom[j], payload)] == j
-    assert {j for j in range(c1.n_morphisms) if ld.dc.is_globular(j)} == set(range(ld.dec.bicat.n2))
+    """Each square j is the pair keyed (f, x, payload), 2-cells included:
+    the j-th key, a square from x to the bottom 1-cell of the payload with
+    left side f.  The globular squares are exactly the 2-cells 0..n2-1: the
+    invariant that pasting and lifted functors rely on."""
+    b, c1 = ld.dec.bicat, ld.dc.c1
+    assert list(ld.key_index.values()) == list(range(c1.n_morphisms))
+    for j, (f, x, payload) in enumerate(ld.key_index):
+        assert (c1.dom[j], c1.cod[j], ld.dc.src.morphism_map[j]) == (x, b.cod1[payload], f)
+    assert {j for j in range(c1.n_morphisms) if ld.dc.is_globular(j)} == set(range(b.n2))
 
 
 def test_every_corpus_lift_equals_its_checked_rebuild(corpus_lifts):
     for tag, ld in corpus_lifts:
         _assert_equals_its_checked_rebuild(ld)
+
+
+# The SHA-256 of each corpus lift's canonical JSON.  The round-trip tests
+# compare a lift only with itself, so a renumbered square or a changed table
+# shows only here.
+CORPUS_DIGESTS = {
+    "semidirect:z3:z2:inv": "5a790f5082791dac3b0b62f0d87c44f4fa45a0bf20026bc544542dcc70caf744",
+    "semidirect:z3:z2:triv": "dda572f9d1b43da23940aa35771a4846d3b1d30a2c74ff440d2a843eb41e3954",
+    "semidirect:z4:z2:inv": "32a806822513ad77de74b7dd4b65e5cb9c0041321891c03052a92f45f9d75f79",
+    "semidirect:z2:z3:triv": "81ce9b207bb91a8c360286b2795d9e8914fc3158f591c8c97a5f425a57b32e40",
+    "graded:z2:z3:inv": "1e39a2c67b93a296bee7638d018a8b5b44c90f371e34e9e01edf436b17a5636e",
+    "graded:z2:z4:inv": "bba7cf30979c099fae98b08468419eda70387db1f5ad963dd8ac2d02717dfdeb",
+    "graded:z2:z3:triv": "36e9313c1183ea7fa6dc7b90f7698d70cb54b231d4ea1daec3a8afeab011fdbc",
+    "constant:flag:z3": "486d690b7d7e3cbd287a73b6d2ae4235dfd9e9b3d85c41e44aa106955c1fa7cf",
+    "identity:flag:z3": "edb5513402bc63b2fdb1b3c3694f0943da1c6b169ae0bbd94ef96a648f9196aa",
+    "twoobject": "4e736a90e92f00c37c2dce78361474cddd467ee9e5b036d74eb0ebe0b181d63d",
+}
+
+
+def test_every_corpus_lift_keeps_its_canonical_bytes(corpus_lifts):
+    digests = {tag: hashlib.sha256(dumps(ld.dc).encode()).hexdigest() for tag, ld in corpus_lifts}
+    assert digests == CORPUS_DIGESTS
 
 
 # Enumerating the actions on a null monoid of 6 elements takes 0.2 s for
@@ -103,9 +128,9 @@ def test_drawn_graded_lifts_equal_their_checked_rebuilds(data):
 def test_two_cells_keep_their_identifiers(corpus_lifts):
     for tag, ld in corpus_lifts:
         b = ld.dec.bicat
+        keys = tuple(ld.key_index)
         for p in range(b.n2):
-            f, g, payload = ld.ext.triples[p]
-            assert payload == p, tag
+            assert keys[p][2] == p, tag
             assert ld.dc.is_globular(p), tag
         for p in range(b.n2, ld.dc.c1.n_morphisms):
             assert not ld.dc.is_globular(p), tag
@@ -118,20 +143,23 @@ def test_interchange_payload_identity_directly(corpus_lifts):
     checked = 0
     for tag, ld in corpus_lifts:
         b = ld.dec.bicat
-        ext, dc, phi = ld.ext, ld.dc, ld.phi
+        dc, phi = ld.dc, ld.phi
+        # the vertical sides and payload of each square
+        sides = [(f, g, a) for f, g, (_, _, a) in zip(dc.src.morphism_map, dc.tgt.morphism_map,
+                                                      ld.key_index)]
         n = dc.c1.n_morphisms
         for p in range(n):
-            fp, gp, ap = ext.triples[p]
+            fp, gp, ap = sides[p]
             for q in range(n):
-                fq, gq, aq = ext.triples[q]
+                fq, gq, aq = sides[q]
                 if gp != fq:
                     continue
                 for p2 in range(n):
-                    fp2, gp2, ap2 = ext.triples[p2]
+                    fp2, gp2, ap2 = sides[p2]
                     if fp2 != gp or dc.c1.dom[p2] != dc.c1.cod[p]:
                         continue
                     for q2 in range(n):
-                        fq2, gq2, aq2 = ext.triples[q2]
+                        fq2, gq2, aq2 = sides[q2]
                         if gp2 != fq2 or dc.c1.dom[q2] != dc.c1.cod[q]:
                             continue
                         big = dc.hsq(dc.c1.compose(p2, p), dc.c1.compose(q2, q))
@@ -142,7 +170,7 @@ def test_interchange_payload_identity_directly(corpus_lifts):
                         else:
                             twisted = phi.on_cells2[fp2][lower]
                         want = b.vcomp[(upper, twisted)]
-                        assert ext.triples[big][2] == want, (tag, p, q, p2, q2)
+                        assert sides[big][2] == want, (tag, p, q, p2, q2)
                         checked += 1
     assert checked > 0
 
@@ -153,18 +181,17 @@ def test_horizontal_identity_squares():
     bstar = ld.dec.decoration
     for f in range(bstar.n_morphisms):
         p = ld.dc.hid.morphism_map[f]
-        g1, g2, payload = ld.ext.triples[p]
-        assert g1 == f and g2 == f
-        assert payload == ld.dec.bicat.id2[ld.ext.cat.dom[p]]
+        assert ld.dc.src.morphism_map[p] == f and ld.dc.tgt.morphism_map[p] == f
+        payload = tuple(ld.key_index)[p][2]
+        assert payload == ld.dec.bicat.id2[ld.dc.c1.dom[p]]
 
 
 def test_square_triple_shape(corpus_lifts):
     for tag, ld in corpus_lifts:
-        b, bstar, c1 = ld.dec.bicat, ld.dec.decoration, ld.ext.cat
+        b, bstar, c1 = ld.dec.bicat, ld.dec.decoration, ld.dc.c1
         _assert_one_key_per_square(ld)
-        for p in range(ld.dc.c1.n_morphisms):
-            f, g, payload = ld.ext.triples[p]
-            assert (f, g) == (ld.dc.src.morphism_map[p], ld.dc.tgt.morphism_map[p]), tag
+        for p, (f, _, payload) in enumerate(ld.key_index):
+            g = ld.dc.tgt.morphism_map[p]
             if p < b.n2:
                 # a 2-cell of the bicategory between its own boundary 1-cells
                 assert bstar.is_identity(f) and bstar.is_identity(g), tag

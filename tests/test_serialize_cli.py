@@ -282,9 +282,10 @@ def test_cli_broken_input_exits_nonzero(tmp_path, capsys):
     assert run(["check", str(path)]) == 1
     captured = capsys.readouterr()
     assert "first failing law:" in captured.err
-    assert run(["example", "nonsense"]) == 1
-    captured = capsys.readouterr()
-    assert "unknown-fixture" in captured.err
+    for name in ("nonsense", "semidirect:z²:z2:triv", "mat:²"):
+        assert run(["example", name]) == 1
+        captured = capsys.readouterr()
+        assert "unknown-fixture" in captured.err
 
 
 def test_cli_wrong_kind_is_reported(tmp_path, capsys):
