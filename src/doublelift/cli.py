@@ -5,10 +5,10 @@ named fixtures end to end.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import serialize
@@ -47,15 +47,14 @@ class Report:
 
     def render(self, as_json: bool) -> str:
         if as_json:
-            return json.dumps(
-                {
-                    "passed": self.passed,
-                    "entries": [
-                        {"name": n, "passed": ok, "detail": d} for n, ok, d in self.entries
-                    ],
-                },
-                sort_keys=True, indent=2,
-            )
+            # the layout of json.dumps(..., sort_keys=True, indent=2), whose
+            # indented encoder runs in pure Python, written directly
+            flag, sep = ("false", "true"), ",\n      "
+            entries = ",\n    ".join(
+                f'{{\n      "detail": {encode_basestring_ascii(d)}{sep}"name": {encode_basestring_ascii(n)}'
+                f'{sep}"passed": {flag[ok]}\n    }}' for n, ok, d in self.entries)
+            entries = f"[\n    {entries}\n  ]" if entries else "[]"
+            return f'{{\n  "entries": {entries},\n  "passed": {flag[self.passed]}\n}}'
         lines = []
         for name, ok, detail in self.entries:
             status = "pass" if ok else "FAIL"

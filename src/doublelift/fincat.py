@@ -132,30 +132,78 @@ def associativity_failure(table, right, left, pairs) -> tuple[int, int, int] | N
     return None
 
 
-def interchange_failure(n: int, vtable, htable, vpairs, groups) -> tuple[int, int, int, int] | None:
+def interchange_failure(vtable, vright, vleft, htable, hright, hleft) -> tuple[int, int, int, int] | None:
     """The first ``(q, p, q2, p2)`` with ``(q * q2) . (p * p2) != (q . p) *
     (q2 . p2)``, where ``.`` is ``vtable`` and ``*`` is ``htable``, total
-    operations on the cells ``0 .. n-1`` whose boundary laws hold.
-    ``vpairs`` are the composable pairs ``(q, p, k)`` in order, each with
-    the index ``k`` of the group in ``groups`` that holds, in order, the
-    pairs ``(q2, p2)`` it is pasted onto.
+    operations on the cells ``0 .. n-1`` whose boundary laws hold, in which
+    ``(x, y)`` composes iff ``right[x] == left[y]``.  The pairs ``(q, p)``,
+    and the ``(q2, p2)`` pasted onto each, are taken in ``vtable`` order.
 
-    The rows are dense, with the sentinel ``n`` where a pair does not
-    compose: the inner loop indexes one table by values read from the other,
-    which rows per boundary class would turn into a position lookup per
-    quadruple on the hottest loop of the law checks.
+    The rows are dense.  Up to 256 cells each row is a 256-byte array, and
+    ``_interchange_holds`` decides the law first; only on a failure, or
+    over more cells, does the scalar loop run to name the quadruple.
     """
-    vrows, hrows = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(2)]
+    n = len(vright)
+    vrows, hrows = [[bytearray(256) if n <= 256 else [0] * n for _ in range(n)] for _ in range(2)]
     for rows, table in ((vrows, vtable), (hrows, htable)):
         for (x, y), v in table.items():
             rows[x][y] = v
-    vrows, hrows = [list(map(tuple, rows)) for rows in (vrows, hrows)]
-    for q, p, k in vpairs:
+    if n <= 256 and _interchange_holds(vrows, hrows, vright, vleft, hright, hleft):
+        return None
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for q2, p2 in vtable:
+        groups.setdefault((hleft[q2], hleft[p2]), []).append((q2, p2))
+    for q, p in vtable:
         hq, hp, hqp = hrows[q], hrows[p], hrows[vrows[q][p]]
-        for q2, p2 in groups[k]:
+        for q2, p2 in groups.get((hright[q], hright[p]), ()):
             if vrows[hq[q2]][hp[p2]] != hqp[vrows[q2][p2]]:
                 return q, p, q2, p2
     return None
+
+
+def interchange_boxes(vright, vleft, hright, hleft) -> list[tuple[list[int], list[int], list]]:
+    """The quadruples of ``interchange_failure`` as boxes ``(qs, ps,
+    groups)``: each ``q`` in ``qs`` and ``p`` in ``ps`` with each ``q2`` and
+    ``p2`` of one ``(q2s, p2s)`` in ``groups``.  A box holds the ``q`` of one
+    ``(vright[q], hright[q])`` and the ``p`` of one ``a = hright[p]``, and a
+    group the ``q2`` and ``p2`` of one ``x2 = vright[q2] = vleft[p2]``."""
+    qs, ps, q2s, p2s = {}, {}, {}, {}
+    for x in range(len(vright)):
+        qs.setdefault((vright[x], hright[x]), []).append(x)
+        ps.setdefault(vleft[x], {}).setdefault(hright[x], []).append(x)
+        q2s.setdefault(hleft[x], {}).setdefault(vright[x], []).append(x)
+        p2s.setdefault((hleft[x], vleft[x]), []).append(x)
+    return [(box_qs, box_ps, groups) for (b, c), box_qs in qs.items() for a, box_ps in ps.get(b, {}).items()
+            if (groups := [(members, p2s[a, x2]) for x2, members in q2s.get(c, {}).items()
+                           if (a, x2) in p2s])]
+
+
+def _interchange_holds(vrows, hrows, vright, vleft, hright, hleft) -> bool:
+    """Whether interchange holds, on rows that are ``bytes.translate``
+    tables.  For each box and each of its ``q``, the left side is one
+    translate per ``q2``: the block of ``p * p2`` through the row of ``q *
+    q2``, laid out [q2][p2][p].  The right side is one per ``p``: the block
+    of ``q2 . p2`` through the row of ``q . p``, laid out [p][q2][p2].
+    Strided slices bring the left side to that layout for one comparison.
+    The law reads the same with the tables swapped; the orientation with
+    fewer boxes is taken."""
+    boxes = interchange_boxes(vright, vleft, hright, hleft)
+    swapped = interchange_boxes(hright, hleft, vright, vleft)
+    if len(swapped) < len(boxes):
+        boxes, vrows, hrows = swapped, hrows, vrows
+    for qs, ps, groups in boxes:
+        q2s = [q2 for members, _ in groups for q2 in members]
+        hblocks = [block for members, p2s in groups
+                   for block in [bytes([hrows[p][p2] for p2 in p2s for p in ps])] * len(members)]
+        vblock = bytes([vrows[q2][p2] for members, p2s in groups for q2 in members for p2 in p2s])
+        columns = [slice(i, None, len(ps)) for i in range(len(ps))]
+        for q in qs:
+            hq, vq = hrows[q], vrows[q]
+            left = b"".join(map(bytes.translate, hblocks, map(vrows.__getitem__, map(hq.__getitem__, q2s))))
+            right = b"".join(map(vblock.translate, map(hrows.__getitem__, map(vq.__getitem__, ps))))
+            if b"".join(map(left.__getitem__, columns)) != right:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +643,8 @@ class StrictMonoidalCategory(Frozen):
                 if t_mor[(base.identity[a], base.identity[b])] != base.identity[t_obj[(a, b)]]:
                     raise StructureError("tensor-identity", f"({a}, {b})")
         # (g (x) g') o (f (x) f') = (g o f) (x) (g' o f') for all composable pairs
-        fail = interchange_failure(n_mor, base.composition, t_mor, [(g, f, 0) for g, f in base.composition],
-                                   [list(base.composition)])
+        ends = (0,) * n_mor
+        fail = interchange_failure(base.composition, base.dom, base.cod, t_mor, ends, ends)
         if fail:
             raise StructureError("interchange", str((fail[:2], fail[2:])))
 

@@ -13,6 +13,7 @@ table is one %-template, and every string goes through json's C escaper.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -133,14 +134,22 @@ def _check_schema(value, shape, path: str) -> None:
         raise StructureError("schema", f"{path}: expected a list")
     elif isinstance(shape, tuple) and len(value) != len(shape):
         raise StructureError("schema", f"{path}: expected {len(shape)} entries")
-    elif not (isinstance(shape, list) and isinstance(shape[0], tuple)
-              and all(type(e) is list and tuple(map(type, e)) == shape[0] for e in value)):
-        # rows of leaves, the bulk of a file, passed above without a call
-        # per row; otherwise find the first offending path
+    elif not _leaves_fit(value, shape):
         for i, item in enumerate(value):
             sub = shape[i] if isinstance(shape, tuple) else shape[0]
             if type(item) is not sub:  # a matching leaf needs no call
                 _check_schema(item, sub, f"{path}[{i}]")
+
+
+def _leaves_fit(value: list, shape) -> bool:
+    """Whether a list of leaves, or of rows of leaves, the bulk of a file,
+    has its field shape, decided by C-level passes over its items, their
+    lengths and their entries.  Any other list is walked item by item."""
+    item = shape[0] if isinstance(shape, list) else None
+    if item in (int, str):
+        return set(map(type, value)) <= {item}
+    rows = isinstance(item, tuple) and set(map(type, value)) <= {list} and set(map(len, value)) <= {len(item)}
+    return rows and list(map(type, itertools.chain.from_iterable(value))) == list(item) * len(value)
 
 
 def _structure(value, kind: str, seen: list):

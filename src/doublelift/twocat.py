@@ -99,12 +99,8 @@ class StrictBicategory(Frozen):
             if hcomp2[(id2[x], id2[y])] != id2[z]:
                 raise StructureError("horizontal-identity", f"id2 tensor at ({x}, {y})")
 
-        # interchange (exchange law): (q, p) is pasted onto the vertical
-        # pairs whose 2-cells start at the 0-cell where p ends
-        groups: list[list[tuple[int, int]]] = [[] for _ in range(n0)]
-        for q, p in vcomp:
-            groups[left[p]].append((q, p))
-        fail = interchange_failure(n2, vcomp, hcomp2, [(q, p, right[p]) for q, p in vcomp], groups)
+        # interchange (exchange law)
+        fail = interchange_failure(vcomp, dom1, cod1, hcomp2, right, left)
         if fail:
             raise StructureError("interchange", str((fail[:2], fail[2:])))
 

@@ -11,19 +11,15 @@ that survive the brute-force filter.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublelift.doublecat import (
-    LAWS,
-    DoubleCategory,
-    check_double_axioms,
-    composable_pair_groups,
-)
+from doublelift.doublecat import LAWS, DoubleCategory, check_double_axioms
 from doublelift.errors import StructureError
-from doublelift.fincat import FiniteCategory, FunctorData
+from doublelift.fincat import FiniteCategory, FunctorData, interchange_boxes
 
 from support import discrete, trivial_double_category
 
@@ -169,19 +165,20 @@ def test_reports_agree_on_the_corpus(corpus_lifts):
 
 
 def test_interchange_visits_exactly_the_composable_quadruples(corpus_lifts):
+    # the box pass may take either orientation, so both must cover exactly
+    # the quadruples that survive the brute-force filter
     for tag, ld in corpus_lifts:
         c = ld.dc
-        m = c.c0.n_morphisms
-        groups = composable_pair_groups(c)
-        visited = sum(
-            len(groups[c.tgt.morphism_map[p] * m + c.tgt.morphism_map[q]])
-            for (q, p) in c.c1.composition
-        )
-        assert visited == _brute_force_quadruples(c), tag
-        tgt, src = c.tgt.morphism_map, c.src.morphism_map
-        for (q, p) in c.c1.composition:
-            for q2, p2 in groups[tgt[p] * m + tgt[q]]:
-                assert src[p2] == tgt[p] and src[q2] == tgt[q], tag
+        v, h = (c.c1.dom, c.c1.cod), (c.tgt.morphism_map, c.src.morphism_map)
+        for (vright, vleft), (hright, hleft) in ((v, h), (h, v)):
+            visited = 0
+            for qs, ps, groups in interchange_boxes(vright, vleft, hright, hleft):
+                for q2s, p2s in groups:
+                    visited += len(qs) * len(ps) * len(q2s) * len(p2s)
+                    for q, p, q2, p2 in itertools.product(qs, ps, q2s, p2s):
+                        assert vright[q] == vleft[p] and vright[q2] == vleft[p2], tag
+                        assert hright[q] == hleft[q2] and hright[p] == hleft[p2], tag
+            assert visited == _brute_force_quadruples(c), tag
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,6 +9,8 @@ list or a bool; or drops or duplicates one row, an entry of a list whose
 entries are lists.  ``serialize.loads`` must then return a structure or
 raise a ``StructureError`` that names a law, never another exception, and
 ``doublelift check`` on the file must exit 0, or exit 1 naming that law.
+Retyped leaves and lengthened or shortened rows must fail ``schema`` at the
+path that a walk of the file item by item names first.
 The same mutations of the DEC or PHI file of a corpus entry must make
 ``doublelift lift`` exit 1 naming a law, or write a lift that ``doublelift
 check`` accepts.
@@ -31,7 +33,7 @@ from doublelift.cli import run
 from doublelift.errors import StructureError
 from doublelift.fincat import Monoid, delooping, monoidal_delooping
 from doublelift.lift import lift
-from doublelift.serialize import KINDS, dumps, loads
+from doublelift.serialize import KINDS, NAMES, dumps, loads
 from doublelift.twocat import decorate, suspend
 
 from support import end_category, fixture_corpus
@@ -173,6 +175,64 @@ def test_retyped_integers_end_in_a_named_law(data):
 def test_dropped_or_duplicated_rows_end_in_a_named_law(data):
     obj = _draw_seed(data)
     _assert_loads_or_names_a_law(obj, _drop_or_duplicate_row(data, obj))
+
+
+def _schema_walk(value, shape, path: str):
+    """The schema check item by item, as it ran before lists of leaves and
+    of rows were decided by C-level passes: the detail of the first
+    offending path, or None."""
+    if isinstance(shape, str):
+        if not isinstance(value, dict) or value.get("kind") != shape:
+            return f"{path}: expected a {shape} object"
+        for key, sub in KINDS[shape][1].items():
+            if key not in value and sub is not NAMES:
+                return f"{path}.{key}: missing"
+            if key in value and (found := _schema_walk(value[key], sub, f"{path}.{key}")):
+                return found
+        return None
+    if shape in (int, str):
+        return None if type(value) is shape else f"{path}: expected {'an integer' if shape is int else 'a string'}"
+    if not isinstance(value, list):
+        return f"{path}: expected a list"
+    if isinstance(shape, tuple) and len(value) != len(shape):
+        return f"{path}: expected {len(shape)} entries"
+    for i, item in enumerate(value):
+        if found := _schema_walk(item, shape[i] if isinstance(shape, tuple) else shape[0], f"{path}[{i}]"):
+            return found
+    return None
+
+
+def _retype_leaf(data, obj):
+    # the top-level kind picks the schema, so it stays
+    path = data.draw(st.sampled_from([p for p, v in _walk(obj) if type(v) in (int, str) and p != ("kind",)]))
+    old = _at(obj, path)
+    _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from([str(old), [old], True, 0, 1.5, None]))
+    return path
+
+
+def _reshape_row(data, obj):
+    rows = [p for p, v in _walk(obj) if type(v) is list and v and not any(type(x) in (list, dict) for x in v)]
+    if not rows:
+        return
+    row = _at(obj, data.draw(st.sampled_from(rows)))
+    if data.draw(st.booleans()):
+        row.append(data.draw(st.sampled_from([0, "sq"])))
+    else:
+        row.pop()
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_schema_failures_name_the_path_of_an_item_by_item_walk(data):
+    obj = _draw_seed(data)
+    for _ in range(data.draw(st.integers(1, 3))):
+        data.draw(st.sampled_from([_retype_leaf, _reshape_row]))(data, obj)
+    try:
+        loads(json.dumps(obj))
+        detail = None
+    except StructureError as exc:
+        detail = exc.detail if exc.law == "schema" and not exc.detail.startswith("repeated key") else None
+    assert detail == _schema_walk(obj, obj["kind"], "$")
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from doublelift import doublecat
-from doublelift.cli import run
+from doublelift.cli import Report, run
 from doublelift.errors import StructureError
 from doublelift.examples import build_semidirect_fixture
 from doublelift.fincat import (FiniteCategory, FunctorData, Monoid, MonoidAction, MonoidMorphism,
@@ -271,6 +272,22 @@ def test_cli_example_and_json_mode(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert any("rank 4" in e["name"] for e in payload["entries"])
+
+
+_TEXT = st.one_of(st.text(), st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é ☃ \U0001f600", "</a>"]))
+
+
+@example(entries=[])
+@example(entries=[("law", False, "")])
+@given(entries=st.lists(st.tuples(_TEXT, st.booleans(), _TEXT)))
+def test_json_report_is_json_dumps_of_its_entries(entries):
+    report = Report()
+    for name, ok, detail in entries:
+        report.add(name, ok, detail)
+    expected = json.dumps({"passed": all(ok for _, ok, _ in entries),
+                           "entries": [{"name": n, "passed": ok, "detail": d} for n, ok, d in entries]},
+                          sort_keys=True, indent=2)
+    assert report.render(as_json=True) == expected
 
 
 def test_cli_broken_input_exits_nonzero(tmp_path, capsys):
