@@ -26,7 +26,7 @@ def _check_shape(c: DoubleCategory) -> None:
     if not endomorphism_monoid_of_object(c.c0, 0)[0].is_group():
         raise StructureError("not-a-group", "vertical morphisms must form a group")
     gd = gamma_data(c)
-    if gd.dc != c:
+    if gd.dc is not c:
         raise StructureError("not-gg", "double category is not globularily generated")
     if len(gd.levels) != 1:
         raise StructureError("vertical-length", "vertical length must be 1")

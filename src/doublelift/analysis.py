@@ -78,12 +78,13 @@ def gamma_data(c: DoubleCategory) -> GammaData:
     horizontal identity square, on all horizontal 1-cells.
 
     The closure steps are the levels of the vertical chain, which is
-    recorded along the way.  ``c`` must be a valid double category.  A
-    closed sub-double category of a valid one satisfies every law, so the
-    result is checked for closure only.  Its ``src`` and ``tgt`` are those of
-    ``c`` restricted to the closed square category, and its ``hid`` is that
-    of ``c`` with its image, which lies in the seed, renumbered; so all
-    three are functors and are not checked again."""
+    recorded along the way.  ``c`` must be a valid double category.  If the
+    closure holds every square, the result is ``c`` itself.  Otherwise it is
+    cut out of ``c``: a closed sub-double category of a valid one satisfies
+    every law, so the result is checked for closure only.  Its ``src`` and
+    ``tgt`` are those of ``c`` restricted to the closed square category, and
+    its ``hid`` is that of ``c`` with its image, which lies in the seed,
+    renumbered; so all three are functors and are not checked again."""
     seed = globular_squares(c) | set(c.hid.morphism_map)
     levels = [_vertical_closure(c, seed)]
     while True:
@@ -91,6 +92,8 @@ def gamma_data(c: DoubleCategory) -> GammaData:
         if bigger == levels[-1]:
             break
         levels.append(bigger)
+    if len(levels[-1]) == c.c1.n_morphisms:
+        return GammaData(c, tuple(range(c.c1.n_morphisms)), tuple(tuple(sorted(level)) for level in levels))
     c1 = c.c1.restrict(levels[-1])
     square_ids = tuple(sorted(levels[-1]))
     pos = {p: i for i, p in enumerate(square_ids)}
@@ -117,7 +120,7 @@ def gamma(c: DoubleCategory) -> DoubleCategory:
 
 
 def is_gg(c: DoubleCategory) -> bool:
-    return gamma(c) == c
+    return gamma(c) is c
 
 
 # ---------------------------------------------------------------------------

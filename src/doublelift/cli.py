@@ -108,7 +108,7 @@ def cmd_analyze(args, report: Report) -> None:
         return
     gd = gamma_data(dc)
     report.info("gamma-squares", f"{gd.dc.c1.n_morphisms} of {dc.c1.n_morphisms}")
-    report.info("gg", str(gd.dc == dc).lower())
+    report.info("gg", str(gd.dc is dc).lower())
     report.info("vertical-length", str(len(gd.levels)))
     report.info("chain-sizes", " ".join(str(len(s)) for s in gd.levels))
 
@@ -172,7 +172,7 @@ def cmd_example(args, report: Report) -> None:
     report.add("axioms", True)
     gd = gamma_data(fx.dc)
     report.info("vertical-length", str(len(gd.levels)))
-    report.info("gg", str(gd.dc == fx.dc).lower())
+    report.info("gg", str(gd.dc is fx.dc).lower())
     if isinstance(fx, SemidirectFixture):
         kind = "abelian" if fx.endo_monoid.is_commutative else "non-abelian"
         group = "group" if fx.endo_monoid.is_group() else "monoid"

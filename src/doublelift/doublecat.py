@@ -103,17 +103,24 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, tuple | None
     ), None))
 
     # the two parts of horizontal composition, each a partial operation:
-    # 1-cells under the object maps and squares under the morphism maps
-    ob = {key[1:]: w for key, w in c.hcomp.items() if key[0] == "ob"}
-    sq = {key[1:]: w for key, w in c.hcomp.items() if key[0] == "sq"}
+    # 1-cells under the object maps and squares under the morphism maps.  One
+    # pass splits hcomp into them and keeps each part's first key outside its
+    # cells; a key of neither kind counts against 1-cells
+    tables, stray = {"ob": {}, "sq": {}}, {}
+    cells = {"ob": range(c1.n_objects), "sq": range(c1.n_morphisms)}
+    for key, w in c.hcomp.items():
+        kind = key[0]
+        if kind in tables:
+            tables[kind][key[1:]] = w
+            if key[1] in cells[kind] and key[2] in cells[kind]:
+                continue
+        stray.setdefault("sq" if kind == "sq" else "ob", key + ("defined",))
+    ob, sq = tables["ob"], tables["sq"]
     left0, right0, srcm, tgtm = c.src.object_map, c.tgt.object_map, c.src.morphism_map, c.tgt.morphism_map
-    parts = (("ob", "1cells", ob, c1.n_objects, left0, right0, c.hid.object_map),
-             ("sq", "squares", sq, c1.n_morphisms, srcm, tgtm, c.hid.morphism_map))
-    for kind, name, table, n, left, right, _ in parts:
-        # else a key outside the cells; a key of neither kind counts against 1-cells
-        record(f"hcomp-totality-{name}", totality_failure(table, right, left) or next((
-            key + ("defined",) for key in c.hcomp if ("sq" if key[0] == "sq" else "ob") == kind
-            and not (key[0] == kind and key[1] in range(n) and key[2] in range(n))), None))
+    parts = (("ob", "1cells", ob, left0, right0, c.hid.object_map),
+             ("sq", "squares", sq, srcm, tgtm, c.hid.morphism_map))
+    for kind, name, table, left, right, _ in parts:
+        record(f"hcomp-totality-{name}", totality_failure(table, right, left) or stray.get(kind))
     if any(not ok for _, ok, _ in report):
         return report
 
@@ -134,11 +141,11 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, tuple | None
     ), None))
     record("interchange", interchange_failure(c1.composition, c1.dom, c1.cod, sq, tgtm, srcm))
     record("hcomp-unit", next((
-        (kind, x) for kind, _, table, _, left, right, hid in parts
+        (kind, x) for kind, _, table, left, right, hid in parts
         if (x := unit_failure(table, right, left, hid)) is not None
     ), None))
     record("hcomp-associativity", next((
-        (kind, *fail) for kind, _, table, _, left, right, _ in parts
+        (kind, *fail) for kind, _, table, left, right, _ in parts
         if (fail := associativity_failure(table, right, left, table))
     ), None))
     return report

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Mapping
+from functools import cached_property
 from operator import attrgetter, itemgetter
 
 from .errors import StructureError
@@ -61,6 +62,11 @@ class Frozen:
 # where x y is defined iff right[x] == left[y].  The cells y with left[y] == b
 # form the boundary class of b.
 
+# The per-cell passes decide a law only where the rows average at least this
+# many entries; on shorter rows a walk over the pairs costs less than their
+# set-up, and decides the law itself.
+MIN_ROW = 8
+
 
 def boundary_classes(left) -> dict[int, list[int]]:
     """The members of each boundary class, ascending."""
@@ -102,16 +108,12 @@ def unit_failure(table, right, left, ident) -> int | None:
     return None
 
 
-def associativity_failure(table, right, left, pairs) -> tuple[int, int, int] | None:
-    """The first ``(x, y, z)`` with ``(x y) z != x (y z)``, taking ``pairs``
-    in order and ``z`` ascending, in a total table whose composites ``x y``
-    have the boundaries ``left[x]`` and ``right[y]``.
-
-    Row ``x`` holds ``x y`` for the ``y`` in the class of ``right[x]``, so
-    the rows take memory in proportion to the entries.  Over all ``z``,
-    ``(x y) z`` is row ``x y`` and ``x (y z)`` is row ``x`` read at the
-    positions of the values of row ``y``: one row comparison in C per pair.
-    """
+def class_rows(table, right, left) -> tuple[dict[int, list[int]], list[int], list]:
+    """The boundary classes, the position of each cell in its class, and
+    the rows of a total ``table``: row ``x`` holds ``x y`` for the ``y`` in
+    the class of ``right[x]``, in class order, so the rows take memory in
+    proportion to the entries.  With at most 256 cells every cell fits in a
+    byte, and the rows are ``bytes``."""
     classes = boundary_classes(left)
     pos = [0] * len(left)
     for members in classes.values():
@@ -120,6 +122,26 @@ def associativity_failure(table, right, left, pairs) -> tuple[int, int, int] | N
     rows = [[0] * len(classes.get(b, ())) for b in right]
     for (x, y), v in table.items():
         rows[x][pos[y]] = v
+    return classes, pos, rows if len(rows) > 256 else list(map(bytes, rows))
+
+
+def associativity_failure(table, right, left, pairs, rows=None) -> tuple[int, int, int] | None:
+    """The first ``(x, y, z)`` with ``(x y) z != x (y z)``, taking ``pairs``
+    in order and ``z`` ascending, in a total table whose composites ``x y``
+    have the boundaries ``left[x]`` and ``right[y]``; ``rows``, if given, is
+    ``class_rows(table, right, left)``.
+
+    Up to 256 cells ``_associative`` decides the law per cell, one
+    comparison for every ``y`` and ``z`` of a cell ``x``; only on a
+    failure, on short rows (``MIN_ROW``) or over more cells does the walk
+    run, which names the triple.  It takes the pairs one at a time: over all
+    ``z``, ``(x y) z`` is row ``x y`` of ``class_rows`` and ``x (y z)`` is
+    row ``x`` read at the positions of the values of row ``y``, one row
+    comparison in C.
+    """
+    classes, pos, rows = rows or class_rows(table, right, left)
+    if MIN_ROW * len(rows) <= len(table) and len(rows) <= 256 and _associative(rows, right, classes, pos):
+        return None
     rows = [tuple(row) for row in rows]
     # itemgetter reads one position as an item, not as a 1-tuple
     through = [itemgetter(*at) if len(at) > 1 else lambda row, at=at: tuple(row[i] for i in at)
@@ -130,6 +152,47 @@ def associativity_failure(table, right, left, pairs) -> tuple[int, int, int] | N
         if first != second:
             return x, y, next(z for z, u, v in zip(classes[right[y]], first, second) if u != v)
     return None
+
+
+def _associative(rows, right, classes, pos) -> bool:
+    """Whether the byte rows of ``associativity_failure`` are associative.
+    For a cell ``x`` and every ``y`` and ``z``, ``(x y) z`` is the rows of
+    the values of row ``x``, joined, and ``x (y z)`` is the rows of the
+    class of ``right[x]``, joined once per class and taken to class
+    positions, read through row ``x`` as a ``bytes.translate`` table: one
+    comparison per cell."""
+    at = bytes(pos).ljust(256, b"\0")
+    joined = {b: b"".join(map(rows.__getitem__, members)).translate(at) for b, members in classes.items()}
+    return all(b"".join(map(rows.__getitem__, row)) == joined.get(b, b"").translate(row.ljust(256, b"\0"))
+               for row, b in zip(rows, right))
+
+
+def preservation_pays(pairs: int, mapping, right, n_target: int) -> bool:
+    """Whether ``preserves`` is worth running on a source of ``pairs``
+    products, that is, costs less than a walk over them: its rows average
+    at least ``MIN_ROW`` entries, and each target row it reads serves four
+    source cells or more, as it does for the sides of a lift.  An injective
+    map, such as ``hid``, reads as many target products as the walk."""
+    return (MIN_ROW * len(mapping) <= pairs and 4 * len(set(zip(mapping, right))) <= len(mapping)
+            and max(len(mapping), n_target) <= 256)
+
+
+def preserves(rows, right, classes, mapping, image_row) -> bool:
+    """Whether ``mapping`` takes products to products, where ``rows``,
+    ``right`` and ``classes`` are the source's, as ``class_rows`` gives
+    them, ``image_row(u, vs)`` iterates the target products ``u v`` over
+    ``vs``, and both sides have at most 256 cells.
+
+    Per source cell ``x``, row ``x`` through ``mapping`` is compared with
+    the target row of ``mapping[x]`` read at the images of the class of
+    ``right[x]``.  The target is read only there, once per image cell and
+    class, and the rows of all cells are compared at once, as bytes."""
+    images = {b: [mapping[y] for y in members] for b, members in classes.items()}
+    wanted = dict.fromkeys(zip(mapping, right))
+    for u, b in wanted:
+        wanted[u, b] = bytes(image_row(u, images.get(b, ())))
+    return b"".join(map(bytes, rows)).translate(bytes(mapping).ljust(256, b"\0")) == \
+        b"".join(map(wanted.__getitem__, zip(mapping, right)))
 
 
 def interchange_failure(vtable, vright, vleft, htable, hright, hleft) -> tuple[int, int, int, int] | None:
@@ -293,9 +356,16 @@ class MonoidMorphism(Frozen):
             raise StructureError("map-range", "value outside target")
         if mapping[src.unit] != tgt.unit:
             raise StructureError("unit-preservation", f"unit maps to {mapping[src.unit]}")
-        for x in range(src.size):
-            for y in range(src.size):
-                if mapping[src.mul(x, y)] != tgt.mul(mapping[x], mapping[y]):
+        # one boundary class: every pair composes
+        n, table = src.size, tgt.table
+        ends = (0,) * n
+        if preservation_pays(n * n, mapping, ends, tgt.size) and preserves(
+                src.table, ends, {0: range(n)}, mapping, lambda u, vs: map(table[u].__getitem__, vs)):
+            return
+        for x, row in enumerate(src.table):
+            image = table[mapping[x]]
+            for y, v in enumerate(row):
+                if mapping[v] != image[mapping[y]]:
                     raise StructureError("product-preservation", f"({x}, {y})")
 
 
@@ -480,9 +550,16 @@ class FiniteCategory(Frozen):
         f = unit_failure(comp, dom, cod, identity)
         if f is not None:
             raise StructureError("identity-law", f"morphism {f}")
-        fail = associativity_failure(comp, dom, cod, sorted(comp))
+        fail = associativity_failure(comp, dom, cod, sorted(comp), self.rows)
         if fail:
             raise StructureError("associativity", str(fail))
+
+    @cached_property
+    def rows(self):
+        """``class_rows`` of the composition, where ``g f`` is in row ``g``,
+        built on first use and kept: the associativity check and the
+        functors out of this category read them."""
+        return class_rows(self.composition, self.dom, self.cod)
 
     @property
     def n_morphisms(self) -> int:
@@ -560,6 +637,14 @@ def endomorphism_monoid_of_object(cat: FiniteCategory, obj: int) -> tuple[Monoid
 
 
 class FunctorData(Frozen):
+    """A functor between finite categories, as its object and morphism maps.
+
+    The check takes the maps' shape and range, then boundaries and
+    identities per cell, then composition: ``preserves`` decides it per
+    source morphism where that pays (``preservation_pays``), and a walk
+    over the source composition, in table order, decides it otherwise and
+    names the first pair that is not preserved."""
+
     _fields = ("source", "target", "object_map", "morphism_map")
 
     def __init__(self, source: FiniteCategory, target: FiniteCategory, object_map, morphism_map,
@@ -582,8 +667,14 @@ class FunctorData(Frozen):
         for a in range(source.n_objects):
             if mmap[source.identity[a]] != target.identity[omap[a]]:
                 raise StructureError("identity-preservation", f"object {a}")
-        for (g, f), h in source.composition.items():
-            if target.compose(mmap[g], mmap[f]) != mmap[h]:
+        comp, tcomp = source.composition, target.composition
+        if preservation_pays(len(comp), mmap, source.dom, target.n_morphisms):
+            classes, _, rows = source.rows
+            if preserves(rows, source.dom, classes, mmap,
+                         lambda u, vs: map(tcomp.__getitem__, zip(itertools.repeat(u), vs))):
+                return
+        for (g, f), h in comp.items():
+            if tcomp[mmap[g], mmap[f]] != mmap[h]:
                 raise StructureError("composition-preservation", f"({g}, {f})")
 
     @staticmethod

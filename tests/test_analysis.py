@@ -192,7 +192,9 @@ def test_gamma_is_unvalidated_but_closed(corpus_lifts):
 
 @pytest.mark.parametrize("name", ["semidirect:z3:z2:inv", "graded:z2:z3:inv", "twoobject"])
 def test_gamma_cuts_one_square_category(monkeypatch, name):
-    # the chain keeps square sets only; the one category cut is gamma's own
+    # the chain keeps square sets only; the one category cut is gamma's own,
+    # and a globularily generated input is its own gamma, with no cut at all
+    gg = name != "graded:z2:z3:inv"
     dc = fixture_by_name(name).dc
     calls = []
     restrict = FiniteCategory.restrict
@@ -202,8 +204,8 @@ def test_gamma_cuts_one_square_category(monkeypatch, name):
         return restrict(self, morphisms)
 
     monkeypatch.setattr(FiniteCategory, "restrict", counted)
-    gamma_data(dc)
-    assert calls == [dc.c1]
+    assert (gamma_data(dc).dc is dc) is gg
+    assert calls == ([] if gg else [dc.c1])
 
 
 def test_non_integer_search_limit_is_a_named_error(monkeypatch):

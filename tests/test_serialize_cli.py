@@ -355,8 +355,10 @@ def test_cli_check_reports_a_stray_pasting_key(tmp_path, capsys, entry, law):
     assert run(["check", str(path)]) == 1
     captured = capsys.readouterr()
     assert f"FAIL  load: {law}" in captured.out
-    with pytest.raises(StructureError, match=law):
+    with pytest.raises(StructureError, match=law) as caught:
         loads(json.dumps(obj))
+    # the witness is the stray key itself
+    assert str(caught.value) == f"{law}: {(*entry[:3], 'defined')!r}"
 
 
 def test_cli_adjunction_rejects_a_precosheaf_over_the_flag_monoid(tmp_path, capsys):
