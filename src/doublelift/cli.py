@@ -61,12 +61,6 @@ class Report:
             lines.append(f"{status}  {name}" + (f": {detail}" if detail else ""))
         return "\n".join(lines)
 
-    def first_failure(self) -> str:
-        for name, ok, detail in self.entries:
-            if not ok:
-                return name
-        return ""
-
 
 def cmd_check(args, report: Report) -> None:
     try:
@@ -361,7 +355,7 @@ def run(argv=None) -> int:
         print(report.render(args.json), file=sys.stderr if lifted else sys.stdout)
         if report.passed:
             return 0
-        print(f"first failing law: {report.first_failure()}", file=sys.stderr)
+        print(f"first failing law: {next(name for name, ok, _ in report.entries if not ok)}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 1

@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import StructureError
-from .fincat import (FiniteCategory, Frozen, FunctorData, associativity_failure, interchange_failure,
-                     totality_failure, unit_failure)
+from .fincat import (FiniteCategory, Frozen, FunctorData, associativity_failure, class_rows,
+                     interchange_failure, totality_failure, unit_failure)
 from .twocat import DecoratedBicategory, StrictBicategory
 
 HKey = tuple[str, int, int]
@@ -139,14 +139,16 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, tuple | None
     record("hcomp-identity", next((
         (x, y) for (x, y), z in ob.items() if sq[(c1.identity[x], c1.identity[y])] != c1.identity[z]
     ), None))
-    record("interchange", interchange_failure(c1.composition, c1.dom, c1.cod, sq, tgtm, srcm))
+    # the rows of c1 and of the squares; hcomp-associativity reads the latter too
+    rows = c1.rows, class_rows(sq, tgtm, srcm)
+    record("interchange", interchange_failure(c1.composition, c1.dom, c1.cod, sq, tgtm, srcm, rows))
     record("hcomp-unit", next((
         (kind, x) for kind, _, table, left, right, hid in parts
         if (x := unit_failure(table, right, left, hid)) is not None
     ), None))
     record("hcomp-associativity", next((
         (kind, *fail) for kind, _, table, left, right, _ in parts
-        if (fail := associativity_failure(table, right, left, table))
+        if (fail := associativity_failure(table, right, left, table, rows[1] if kind == "sq" else None))
     ), None))
     return report
 

@@ -108,7 +108,7 @@ def twisted_graded_category(g: Monoid, h: Monoid, action: MonoidAction) -> Stric
             for y in range(ng):
                 for e2 in range(nh):
                     tensor_mor[(enc(x, e1), enc(y, e2))] = \
-                        enc(g.mul(x, y), h.mul(e1, action.apply(x, e2)))
+                        enc(g.mul(x, y), h.mul(e1, action.maps[x][e2]))
     return StrictMonoidalCategory(base, g.unit, tensor_obj, tensor_mor)
 
 
@@ -119,7 +119,7 @@ def object_fixing_precosheaf(dec: DecoratedBicategory, g: Monoid, h: Monoid,
     b = dec.bicat
     on1 = tuple({x: x for x in range(b.n1)} for _ in range(g.size))
     on2 = tuple(
-        {j: (j // h.size) * h.size + action.apply(m, j % h.size) for j in range(b.n2)}
+        {j: (j // h.size) * h.size + action.maps[m][j % h.size] for j in range(b.n2)}
         for m in range(g.size)
     )
     return Precosheaf(dec, on1, on2)

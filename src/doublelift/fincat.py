@@ -195,31 +195,32 @@ def preserves(rows, right, classes, mapping, image_row) -> bool:
         b"".join(map(wanted.__getitem__, zip(mapping, right)))
 
 
-def interchange_failure(vtable, vright, vleft, htable, hright, hleft) -> tuple[int, int, int, int] | None:
+def interchange_failure(vtable, vright, vleft, htable, hright, hleft,
+                        rows=None) -> tuple[int, int, int, int] | None:
     """The first ``(q, p, q2, p2)`` with ``(q * q2) . (p * p2) != (q . p) *
     (q2 . p2)``, where ``.`` is ``vtable`` and ``*`` is ``htable``, total
     operations on the cells ``0 .. n-1`` whose boundary laws hold, in which
     ``(x, y)`` composes iff ``right[x] == left[y]``.  The pairs ``(q, p)``,
-    and the ``(q2, p2)`` pasted onto each, are taken in ``vtable`` order.
+    and the ``(q2, p2)`` pasted onto each, are taken in ``vtable`` order;
+    ``rows``, if given, is the ``class_rows`` of ``vtable`` and of ``htable``.
 
-    The rows are dense.  Up to 256 cells each row is a 256-byte array, and
-    ``_interchange_holds`` decides the law first; only on a failure, or
-    over more cells, does the scalar loop run to name the quadruple.
+    Up to 256 cells ``_interchange_holds`` decides the law first; only on a
+    failure, or over more cells, does the scalar loop run to name the
+    quadruple.  Each ``(q2, p2)`` waits in its group with the class
+    positions that the loop reads, so both take memory in proportion to the
+    entries.
     """
-    n = len(vright)
-    vrows, hrows = [[bytearray(256) if n <= 256 else [0] * n for _ in range(n)] for _ in range(2)]
-    for rows, table in ((vrows, vtable), (hrows, htable)):
-        for (x, y), v in table.items():
-            rows[x][y] = v
-    if n <= 256 and _interchange_holds(vrows, hrows, vright, vleft, hright, hleft):
+    (_, vpos, vrows), (_, hpos, hrows) = rows or (class_rows(vtable, vright, vleft),
+                                                  class_rows(htable, hright, hleft))
+    if len(vrows) <= 256 and _interchange_holds(vrows, vpos, hrows, hpos, vright, vleft, hright, hleft):
         return None
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for q2, p2 in vtable:
-        groups.setdefault((hleft[q2], hleft[p2]), []).append((q2, p2))
-    for q, p in vtable:
-        hq, hp, hqp = hrows[q], hrows[p], hrows[vrows[q][p]]
-        for q2, p2 in groups.get((hright[q], hright[p]), ()):
-            if vrows[hq[q2]][hp[p2]] != hqp[vrows[q2][p2]]:
+    groups: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    for (q2, p2), v in vtable.items():
+        groups.setdefault((hleft[q2], hleft[p2]), []).append((q2, p2, hpos[q2], hpos[p2], hpos[v]))
+    for (q, p), v in vtable.items():
+        hq, hp, hqp = hrows[q], hrows[p], hrows[v]
+        for q2, p2, i, j, k in groups.get((hright[q], hright[p]), ()):
+            if vrows[hq[i]][vpos[hp[j]]] != hqp[k]:
                 return q, p, q2, p2
     return None
 
@@ -241,29 +242,31 @@ def interchange_boxes(vright, vleft, hright, hleft) -> list[tuple[list[int], lis
                            if (a, x2) in p2s])]
 
 
-def _interchange_holds(vrows, hrows, vright, vleft, hright, hleft) -> bool:
-    """Whether interchange holds, on rows that are ``bytes.translate``
-    tables.  For each box and each of its ``q``, the left side is one
-    translate per ``q2``: the block of ``p * p2`` through the row of ``q *
-    q2``, laid out [q2][p2][p].  The right side is one per ``p``: the block
-    of ``q2 . p2`` through the row of ``q . p``, laid out [p][q2][p2].
-    Strided slices bring the left side to that layout for one comparison.
-    The law reads the same with the tables swapped; the orientation with
-    fewer boxes is taken."""
+def _interchange_holds(vrows, vpos, hrows, hpos, vright, vleft, hright, hleft) -> bool:
+    """Whether interchange holds, on the byte ``class_rows`` of both
+    tables, padded to 256 as ``bytes.translate`` tables.  For each box and
+    each of its ``q``, the left side is one translate per ``q2``: the block
+    of ``p * p2`` at its class positions through the row of ``q * q2``,
+    laid out [q2][p2][p].  The right side is one per ``p``: the block of
+    ``q2 . p2`` at its class positions through the row of ``q . p``, laid
+    out [p][q2][p2].  Strided slices bring the left side to that layout for
+    one comparison.  The law reads the same with the tables swapped; the
+    orientation with fewer boxes is taken."""
     boxes = interchange_boxes(vright, vleft, hright, hleft)
     swapped = interchange_boxes(hright, hleft, vright, vleft)
     if len(swapped) < len(boxes):
-        boxes, vrows, hrows = swapped, hrows, vrows
+        boxes, vrows, vpos, hrows, hpos = swapped, hrows, hpos, vrows, vpos
+    vpad, hpad = ([row.ljust(256, b"\0") for row in rows] for rows in (vrows, hrows))
     for qs, ps, groups in boxes:
-        q2s = [q2 for members, _ in groups for q2 in members]
-        hblocks = [block for members, p2s in groups
-                   for block in [bytes([hrows[p][p2] for p2 in p2s for p in ps])] * len(members)]
-        vblock = bytes([vrows[q2][p2] for members, p2s in groups for q2 in members for p2 in p2s])
+        q2_at, p_at = [hpos[q2] for members, _ in groups for q2 in members], [vpos[p] for p in ps]
+        hblocks = [block for members, p2s in groups for block in
+                   [bytes([vpos[hrows[p][hpos[p2]]] for p2 in p2s for p in ps])] * len(members)]
+        vblock = bytes([hpos[vrows[q2][vpos[p2]]] for members, p2s in groups for q2 in members for p2 in p2s])
         columns = [slice(i, None, len(ps)) for i in range(len(ps))]
         for q in qs:
             hq, vq = hrows[q], vrows[q]
-            left = b"".join(map(bytes.translate, hblocks, map(vrows.__getitem__, map(hq.__getitem__, q2s))))
-            right = b"".join(map(vblock.translate, map(hrows.__getitem__, map(vq.__getitem__, ps))))
+            left = b"".join(map(bytes.translate, hblocks, map(vpad.__getitem__, map(hq.__getitem__, q2_at))))
+            right = b"".join(map(vblock.translate, map(hpad.__getitem__, map(vq.__getitem__, p_at))))
             if b"".join(map(left.__getitem__, columns)) != right:
                 return False
     return True
@@ -395,9 +398,6 @@ class MonoidAction(Frozen):
                 composite = tuple(self.maps[m1][self.maps[m2][x]] for x in range(self.target.size))
                 if self.maps[self.acting.mul(m1, m2)] != composite:
                     raise StructureError("action-functoriality", f"({m1}, {m2})")
-
-    def apply(self, m: int, x: int) -> int:
-        return self.maps[m][x]
 
     @staticmethod
     def trivial(acting: Monoid, target: Monoid) -> "MonoidAction":
@@ -557,8 +557,9 @@ class FiniteCategory(Frozen):
     @cached_property
     def rows(self):
         """``class_rows`` of the composition, where ``g f`` is in row ``g``,
-        built on first use and kept: the associativity check and the
-        functors out of this category read them."""
+        built on first use and kept: the associativity check, the functors
+        out of this category and, for a category of squares, interchange
+        read them."""
         return class_rows(self.composition, self.dom, self.cod)
 
     @property
@@ -776,7 +777,7 @@ def semidirect_product(n: Monoid, m: Monoid, action: MonoidAction) -> Monoid:
         for y1 in range(m.size):
             for x2 in range(n.size):
                 for y2 in range(m.size):
-                    px = n.mul(x1, action.apply(y1, x2))
+                    px = n.mul(x1, action.maps[y1][x2])
                     py = m.mul(y1, y2)
                     table[enc(x1, y1)][enc(x2, y2)] = enc(px, py)
     names = None

@@ -68,10 +68,10 @@ def element_order(m: Monoid, x: int) -> int:
     return k
 
 
-def discrete(n: int) -> FiniteCategory:
+def discrete(n: int, validate: bool = True) -> FiniteCategory:
     return FiniteCategory(
         n, tuple(range(n)), tuple(range(n)), tuple(range(n)),
-        {(i, i): i for i in range(n)},
+        {(i, i): i for i in range(n)}, validate=validate,
     )
 
 
@@ -103,26 +103,23 @@ def end_category(b: StrictBicategory, a: int) -> StrictMonoidalCategory:
     return StrictMonoidalCategory(base, pos1[b.id1[a]], tensor_obj, tensor_mor)
 
 
-def trivial_double_category(c0: FiniteCategory) -> DoubleCategory:
+def trivial_double_category(c0: FiniteCategory, validate: bool = True) -> DoubleCategory:
     """The double category with only horizontal identity 1-cells over c0 and
     only identity globular squares plus the hid-images of c0-morphisms."""
     c1 = FiniteCategory(
-        c0.n_objects, c0.dom, c0.cod, c0.identity, dict(c0.composition),
+        c0.n_objects, c0.dom, c0.cod, c0.identity, dict(c0.composition), validate=validate,
     )
     ident = FunctorData.identity(c1)
-    src = FunctorData(c1, c0, ident.object_map, ident.morphism_map)
+    src = FunctorData(c1, c0, ident.object_map, ident.morphism_map, validate=validate)
     tgt = src
-    hid = FunctorData(c0, c1, tuple(range(c0.n_objects)), tuple(range(c0.n_morphisms)))
-    hcomp: dict[HKey, int] = {}
-    for x in range(c1.n_objects):
-        for y in range(c1.n_objects):
-            if x == y:
-                hcomp[("ob", x, y)] = x
+    hid = FunctorData(c0, c1, tuple(range(c0.n_objects)), tuple(range(c0.n_morphisms)), validate=validate)
+    # each 1-cell composes horizontally only with itself
+    hcomp: dict[HKey, int] = {("ob", x, x): x for x in range(c1.n_objects)}
     for p in range(c1.n_morphisms):
         # src(p) = tgt(p) = p here, so squares compose horizontally only
         # with themselves
         hcomp[("sq", p, p)] = p
-    return DoubleCategory(c1=c1, c0=c0, src=src, tgt=tgt, hid=hid, hcomp=hcomp)
+    return DoubleCategory(c1=c1, c0=c0, src=src, tgt=tgt, hid=hid, hcomp=hcomp, validate=validate)
 
 
 def identity_double_functor(c: DoubleCategory) -> DoubleFunctor:

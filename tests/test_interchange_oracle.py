@@ -10,6 +10,10 @@ boundaries (so that every boundary law still holds):
 * the box pass holds exactly when the scalar loop finds no failure;
 * both, and the kernel, return the first failing quadruple of the
   brute-force loop over every pair of composable pairs, in table order.
+
+Both passes read the tables' class rows.  A 324-square graded lift, with
+nine boundary classes per table, takes the kernel past 256 cells, where
+the scalar loop alone decides the law and names the quadruple.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 import doublelift
 from doublelift import fincat
-from doublelift.examples import build_semidirect_fixture
+from doublelift.examples import build_semidirect_fixture, fixture_by_name
 from doublelift.fincat import Monoid, MonoidAction, interchange_failure
 from doublelift.lift import lift_data
 
@@ -137,6 +141,33 @@ def test_kernels_agree_on_a_z12_semidirect_lift():
     vtable = args[0]
     mutated = _replaced(args, 0, sorted(vtable).index(next(iter(vtable))), 1)
     assert _agree(mutated, "z12") is not None
+
+
+@lru_cache(maxsize=None)
+def _graded_z9_z4() -> tuple:
+    # 324 squares, so the scalar loop decides the law on class rows; each
+    # table has nine boundary classes of 36 squares
+    return double_args(fixture_by_name("graded:z9:z4:triv").dc)
+
+
+def test_the_scalar_loop_decides_a_324_square_graded_lift():
+    args = _graded_z9_z4()
+    assert not box_pass(*args)
+    assert interchange_failure(*args) is None
+
+
+@pytest.mark.skipif(os.environ.get("HYPOTHESIS_PROFILE") != "ci", reason="about 5 s; the long run only")
+def test_a_324_square_graded_lift_passes_the_brute_force_loop():
+    assert brute_force_failure(*_graded_z9_z4()) is None
+
+
+# a replacement that keeps the law costs the brute-force loop about 5 s
+@settings(deadline=None, max_examples=settings.default.max_examples // 10)
+@given(st.integers(0, 1), st.integers(min_value=0), st.integers(min_value=0))
+def test_the_scalar_loop_agrees_on_replaced_composites_of_a_324_square_graded_lift(which, entry, choice):
+    mutated = _replaced(_graded_z9_z4(), which, entry, choice)
+    if mutated is not None:
+        assert interchange_failure(*mutated) == brute_force_failure(*mutated)
 
 
 def test_check_double_axioms_on_a_3000_object_trivial_double_category_in_512_mb():

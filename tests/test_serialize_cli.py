@@ -207,6 +207,31 @@ def test_cli_entry_point_checks_a_20000_object_discrete_category_in_1_gb(tmp_pat
     assert (done.returncode, done.stdout, done.stderr) == (0, "pass  structure: FiniteCategory valid\n", "")
 
 
+@pytest.mark.parametrize("kind", ["DoubleCategory", "StrictBicategory"])
+def test_cli_entry_point_checks_a_20000_cell_structure_with_interchange_in_1_gb(tmp_path, kind):
+    # The trivial double category on the discrete category and the discrete
+    # bicategory (one 1-cell and one 2-cell per 0-cell): each cell composes
+    # only with itself, both ways, so interchange reads 20,000 quadruples,
+    # and rows of n x n cells would need gigabytes.  Built unchecked here,
+    # so that only the capped child runs the laws.
+    import resource
+
+    from support import discrete, trivial_double_category
+
+    n, cap = 20000, 1 << 30
+    cells = tuple(range(n))
+    diagonal = {(i, i): i for i in cells}
+    value = trivial_double_category(discrete(n, validate=False), validate=False) if kind == "DoubleCategory" \
+        else StrictBicategory(n, cells, cells, cells, cells, cells, cells, diagonal, diagonal, diagonal,
+                              validate=False)
+    path = _write(tmp_path, "structure.json", value)
+    done = _entry_point(["check", path], capture_output=True, text=True, timeout=300,
+                        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    laws = doublecat.LAWS if kind == "DoubleCategory" else ()
+    want = "".join(f"pass  {line}\n" for line in (f"structure: {kind} valid", *laws))
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
 def test_cli_entry_point_lift_exits_1_on_a_closed_pipe_with_empty_stderr(tmp_path):
     # the 6-square lift fits in the stdout buffer, so only a flush before
     # the report reaches stderr finds the closed pipe in time
