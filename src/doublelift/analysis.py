@@ -50,13 +50,7 @@ def _vertical_closure(c: DoubleCategory, squares: set[int]) -> set[int]:
 
 
 def _horizontal_step(c: DoubleCategory, squares: set[int]) -> set[int]:
-    out = set(squares)
-    for p in squares:
-        for q in squares:
-            key = ("sq", p, q)
-            if key in c.hcomp:
-                out.add(c.hcomp[key])
-    return out
+    return squares | {r for (p, q), r in c.hparts[1].items() if p in squares and q in squares}
 
 
 class GammaData(Frozen):
@@ -103,14 +97,12 @@ def gamma_data(c: DoubleCategory) -> GammaData:
                       tuple(c.tgt.morphism_map[p] for p in square_ids), validate=False)
     hid = FunctorData(c.c0, c1, c.hid.object_map,
                       tuple(pos[p] for p in c.hid.morphism_map), validate=False)
-    hcomp: dict[HKey, int] = {}
-    for (kind, u, v), w in c.hcomp.items():
-        if kind == "ob":
-            hcomp[(kind, u, v)] = w
-        elif u in pos and v in pos:
+    hcomp: dict[HKey, int] = {("ob", x, y): z for (x, y), z in c.hparts[0].items()}
+    for (u, v), w in c.hparts[1].items():
+        if u in pos and v in pos:
             if w not in pos:
                 raise StructureError("restriction-closure", f"pasting ({u}, {v}) -> {w} dropped")
-            hcomp[(kind, pos[u], pos[v])] = pos[w]
+            hcomp[("sq", pos[u], pos[v])] = pos[w]
     dc = DoubleCategory(c.c0, c1, src, tgt, hid, hcomp, validate=False)
     return GammaData(dc, square_ids, tuple(tuple(sorted(pos[p] for p in level)) for level in levels))
 

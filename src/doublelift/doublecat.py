@@ -10,12 +10,15 @@ and a single partial horizontal composition table ``hcomp`` covering both
 ``hcomp[("ob", x, y)]`` is the horizontal composite of 1-cells read left to
 right, defined exactly when the right endpoint of ``x`` is the left endpoint
 of ``y``.  ``hcomp[("sq", p, q)]`` pastes squares side by side in the same
-order, defined exactly when ``tgt(p) == src(q)``.
+order, defined exactly when ``tgt(p) == src(q)``.  ``DoubleCategory.hparts``
+splits it once into the two tables keyed by ``(x, y)``, which the axiom
+suite, horizontalization and the analysis read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cached_property
 
 from .errors import StructureError
 from .fincat import (FiniteCategory, Frozen, FunctorData, associativity_failure, class_rows,
@@ -37,6 +40,23 @@ class DoubleCategory(Frozen):
         for law, ok, witness in check_double_axioms(self):
             if not ok:
                 raise StructureError(law, repr(witness))
+
+    @cached_property
+    def hparts(self) -> tuple[dict, dict, tuple | None, tuple | None]:
+        """``hcomp`` split into its partial operations on 1-cells and on
+        squares, keyed by ``(x, y)``, then each one's first key outside its
+        cells with "defined" appended, or None; a key of neither kind counts
+        against 1-cells.  Built on first use and kept, as ``c1.rows`` is."""
+        tables, stray = {"ob": {}, "sq": {}}, {}
+        cells = {"ob": range(self.c1.n_objects), "sq": range(self.c1.n_morphisms)}
+        for key, w in self.hcomp.items():
+            kind, x, y = key
+            if kind in tables:
+                tables[kind][x, y] = w
+                if x in cells[kind] and y in cells[kind]:
+                    continue
+            stray.setdefault("sq" if kind == "sq" else "ob", key + ("defined",))
+        return tables["ob"], tables["sq"], stray.get("ob"), stray.get("sq")
 
     def hob(self, x: int, y: int) -> int:
         return self.hcomp[("ob", x, y)]
@@ -102,25 +122,12 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, tuple | None
         or c.tgt.morphism_map[c.hid.morphism_map[f]] != f
     ), None))
 
-    # the two parts of horizontal composition, each a partial operation:
-    # 1-cells under the object maps and squares under the morphism maps.  One
-    # pass splits hcomp into them and keeps each part's first key outside its
-    # cells; a key of neither kind counts against 1-cells
-    tables, stray = {"ob": {}, "sq": {}}, {}
-    cells = {"ob": range(c1.n_objects), "sq": range(c1.n_morphisms)}
-    for key, w in c.hcomp.items():
-        kind = key[0]
-        if kind in tables:
-            tables[kind][key[1:]] = w
-            if key[1] in cells[kind] and key[2] in cells[kind]:
-                continue
-        stray.setdefault("sq" if kind == "sq" else "ob", key + ("defined",))
-    ob, sq = tables["ob"], tables["sq"]
+    ob, sq, ob_stray, sq_stray = c.hparts
     left0, right0, srcm, tgtm = c.src.object_map, c.tgt.object_map, c.src.morphism_map, c.tgt.morphism_map
     parts = (("ob", "1cells", ob, left0, right0, c.hid.object_map),
              ("sq", "squares", sq, srcm, tgtm, c.hid.morphism_map))
-    for kind, name, table, left, right, _ in parts:
-        record(f"hcomp-totality-{name}", totality_failure(table, right, left) or stray.get(kind))
+    for (_, name, table, left, right, _), stray in zip(parts, (ob_stray, sq_stray)):
+        record(f"hcomp-totality-{name}", totality_failure(table, right, left) or stray)
     if any(not ok for _, ok, _ in report):
         return report
 
@@ -175,17 +182,12 @@ def horizontalization(c: DoubleCategory) -> StrictBicategory:
     # closure only; every table is kept in ascending key order, in which the
     # bicategory laws and check_monoidal_map report their first failure
     v = c.c1.restrict(glob)
-    hcomp1, hcomp2 = {}, {}
-    for (kind, x, y), z in sorted(c.hcomp.items()):
-        if kind == "ob":
-            hcomp1[(x, y)] = z
-        elif x in pos and y in pos:
-            hcomp2[(pos[x], pos[y])] = pos[z]
+    ob, sq, _, _ = c.hparts
+    hcomp2 = dict(sorted(((pos[p], pos[q]), pos[r]) for (p, q), r in sq.items() if p in pos and q in pos))
     return StrictBicategory(
-        c.c0.n_objects, tuple(c.left0(x) for x in range(c.c1.n_objects)),
-        tuple(c.right0(x) for x in range(c.c1.n_objects)),
-        v.dom, v.cod, tuple(c.hid.object_map), v.identity, dict(sorted(v.composition.items())),
-        hcomp1, hcomp2, names1=c.c1.object_names, validate=False,
+        c.c0.n_objects, c.src.object_map, c.tgt.object_map,
+        v.dom, v.cod, c.hid.object_map, v.identity, dict(sorted(v.composition.items())),
+        dict(sorted(ob.items())), hcomp2, names1=c.c1.object_names, validate=False,
     )
 
 

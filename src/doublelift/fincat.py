@@ -727,16 +727,17 @@ class StrictMonoidalCategory(Frozen):
             if x is not None:
                 raise StructureError("tensor-unit", f"{name[:-1]} {x}")
         for name, table, ends in parts:
-            fail = associativity_failure(table, ends, ends, itertools.product(range(len(ends)), repeat=2))
+            rows = class_rows(table, ends, ends)
+            pairs = itertools.product(range(len(ends)), repeat=2)
+            fail = associativity_failure(table, ends, ends, pairs, rows)
             if fail:
                 raise StructureError("tensor-associativity", f"{name} {fail}")
         for a in range(n_obj):
             for b in range(n_obj):
                 if t_mor[(base.identity[a], base.identity[b])] != base.identity[t_obj[(a, b)]]:
                     raise StructureError("tensor-identity", f"({a}, {b})")
-        # (g (x) g') o (f (x) f') = (g o f) (x) (g' o f') for all composable pairs
-        ends = (0,) * n_mor
-        fail = interchange_failure(base.composition, base.dom, base.cod, t_mor, ends, ends)
+        # (g (x) g') o (f (x) f') = (g o f) (x) (g' o f'), on base.rows and t_mor's
+        fail = interchange_failure(base.composition, base.dom, base.cod, t_mor, ends, ends, (base.rows, rows))
         if fail:
             raise StructureError("interchange", str((fail[:2], fail[2:])))
 

@@ -20,6 +20,7 @@ from .fincat import (
     Frozen,
     StrictMonoidalCategory,
     associativity_failure,
+    class_rows,
     interchange_failure,
     totality_failure,
     unit_failure,
@@ -92,15 +93,17 @@ class StrictBicategory(Frozen):
                 if fail:
                     raise StructureError("vertical-associativity", str(fail[::-1]))
             else:
-                fail = associativity_failure(table, rb, lb, table)
+                rows = class_rows(table, rb, lb)
+                fail = associativity_failure(table, rb, lb, table, rows)
                 if fail:
                     raise StructureError("horizontal-associativity", f"{cells}{fail}")
         for (x, y), z in hcomp1.items():
             if hcomp2[(id2[x], id2[y])] != id2[z]:
                 raise StructureError("horizontal-identity", f"id2 tensor at ({x}, {y})")
 
-        # interchange (exchange law)
-        fail = interchange_failure(vcomp, dom1, cod1, hcomp2, right, left)
+        # interchange (exchange law), on the rows of hcomp2, the last part
+        fail = interchange_failure(vcomp, dom1, cod1, hcomp2, right, left,
+                                   (class_rows(vcomp, dom1, cod1), rows))
         if fail:
             raise StructureError("interchange", str((fail[:2], fail[2:])))
 

@@ -181,10 +181,16 @@ def test_interchange_visits_exactly_the_composable_quadruples(corpus_lifts):
             assert visited == _brute_force_quadruples(c), tag
 
 
-@settings(max_examples=150, deadline=None)
+# example counts follow the loaded profile, so that HYPOTHESIS_PROFILE=ci runs ten times as many
+@settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
 @given(st.integers(min_value=0), st.integers(min_value=0), st.integers(min_value=0),
-       st.booleans())
-def test_reports_agree_on_hcomp_mutations(corpus_lifts, which, entry, value, drop):
+       st.booleans(), st.none() | st.tuples(*[st.integers(min_value=0)] * 3),
+       st.randoms(use_true_random=False))
+def test_reports_agree_on_hcomp_mutations(corpus_lifts, which, entry, value, drop, added, rng):
+    """Change or drop one entry, maybe add one in-range key of its kind,
+    and shuffle the entries so that the kinds interleave.  The split keeps
+    each kind's entries in the shuffled order, in which the oracle names
+    its witnesses."""
     tag, c = _lift(corpus_lifts, which)
     hcomp = dict(c.hcomp)
     keys = sorted(hcomp)
@@ -194,8 +200,12 @@ def test_reports_agree_on_hcomp_mutations(corpus_lifts, which, entry, value, dro
         del hcomp[key]
     else:
         hcomp[key] = value % bound
-    bad = DoubleCategory(c.c0, c.c1, c.src, c.tgt, c.hid, hcomp, validate=False)
-    assert check_double_axioms(bad) == oracle_axioms(bad), (tag, key)
+    if added is not None:
+        hcomp[(key[0], added[0] % bound, added[1] % bound)] = added[2] % bound
+    items = list(hcomp.items())
+    rng.shuffle(items)
+    bad = DoubleCategory(c.c0, c.c1, c.src, c.tgt, c.hid, dict(items), validate=False)
+    assert check_double_axioms(bad) == oracle_axioms(bad), (tag, key, added)
 
 
 def _outcome(suite, c: DoubleCategory, composition) -> object:
@@ -210,7 +220,7 @@ def _outcome(suite, c: DoubleCategory, composition) -> object:
     return suite(DoubleCategory(c.c0, c1, src, tgt, hid, c.hcomp, validate=False))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=settings.default.max_examples, deadline=None)
 @given(st.integers(min_value=0), st.integers(min_value=0), st.integers(min_value=0))
 def test_reports_agree_on_composition_mutations(corpus_lifts, which, entry, value):
     tag, c = _lift(corpus_lifts, which)
@@ -221,7 +231,7 @@ def test_reports_agree_on_composition_mutations(corpus_lifts, which, entry, valu
         _outcome(oracle_axioms, c, composition), (tag, key)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=settings.default.max_examples, deadline=None)
 @given(st.integers(min_value=0), st.integers(min_value=0), st.integers(min_value=0))
 def test_reports_agree_on_relabelled_squares(corpus_lifts, which, first, second):
     """Swap two squares with the same boundary in the vertical composition

@@ -23,11 +23,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublelift import fincat
+from doublelift import fincat, twocat
 from doublelift.errors import StructureError
-from doublelift.examples import fixture_by_name
-from doublelift.fincat import (FiniteCategory, FunctorData, Monoid, MonoidMorphism, associativity_failure,
-                               delooping)
+from doublelift.examples import fixture_by_name, graded_category
+from doublelift.fincat import (FiniteCategory, FunctorData, Monoid, MonoidMorphism, StrictMonoidalCategory,
+                               associativity_failure, delooping)
 from doublelift.lift import lift_data
 
 from support import fixture_corpus, null_monoid
@@ -267,6 +267,25 @@ def test_long_rows_are_decided_by_the_per_cell_passes():
         MonoidMorphism(z12, z3, tuple(x % 3 for x in range(12)))
     lifts = [tag for tag, _ in _functors()[-6:]]
     assert calls[len(long):] == [lifts[0], "p", lifts[1], "p", *lifts[2:], "p"]
+
+
+def test_each_row_set_is_built_once():
+    # the discrete bicategory builds the rows of its vertical composition in
+    # both orientations, for associativity and for interchange, and those of
+    # each horizontal composition once; a monoidal category those of each
+    # tensor once, and reads the kept rows of its validated base
+    built = []
+    class_rows = fincat.class_rows
+    n = 50
+    cells, diagonal = range(n), {(i, i): i for i in range(n)}
+    d = graded_category(Monoid.cyclic(3), Monoid.cyclic(4))
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (fincat, twocat):
+            patch.setattr(module, "class_rows", lambda *args: built.append(args) or class_rows(*args))
+        twocat.StrictBicategory(n, cells, cells, cells, cells, cells, cells, diagonal, diagonal, diagonal)
+        assert len(built) == 4
+        StrictMonoidalCategory(d.base, d.unit_obj, d.tensor_obj, d.tensor_mor)
+    assert len(built) == 6
 
 
 def _every_change(args):
