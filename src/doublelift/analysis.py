@@ -36,16 +36,9 @@ def _search_limit() -> int:
 
 
 def _vertical_closure(c: DoubleCategory, squares: set[int]) -> set[int]:
-    out = set(squares)
-    changed = True
-    while changed:
-        changed = False
-        for (q, p) in c.c1.composition:
-            if q in out and p in out:
-                r = c.c1.composition[(q, p)]
-                if r not in out:
-                    out.add(r)
-                    changed = True
+    out, comp = set(squares), c.c1.composition
+    while new := {r for (q, p), r in comp.items() if q in out and p in out} - out:
+        out |= new
     return out
 
 
@@ -75,7 +68,7 @@ def gamma_data(c: DoubleCategory) -> GammaData:
     recorded along the way.  ``c`` must be a valid double category.  If the
     closure holds every square, the result is ``c`` itself.  Otherwise it is
     cut out of ``c``: a closed sub-double category of a valid one satisfies
-    every law, so the result is checked for closure only.  Its ``src`` and
+    every law, and the chain ends on a closed level.  Its ``src`` and
     ``tgt`` are those of ``c`` restricted to the closed square category, and
     its ``hid`` is that of ``c`` with its image, which lies in the seed,
     renumbered; so all three are functors and are not checked again."""
@@ -98,11 +91,9 @@ def gamma_data(c: DoubleCategory) -> GammaData:
     hid = FunctorData(c.c0, c1, c.hid.object_map,
                       tuple(pos[p] for p in c.hid.morphism_map), validate=False)
     hcomp: dict[HKey, int] = {("ob", x, y): z for (x, y), z in c.hparts[0].items()}
-    for (u, v), w in c.hparts[1].items():
-        if u in pos and v in pos:
-            if w not in pos:
-                raise StructureError("restriction-closure", f"pasting ({u}, {v}) -> {w} dropped")
-            hcomp[("sq", pos[u], pos[v])] = pos[w]
+    # the chain stopped where a horizontal step adds nothing, so every pasting of two kept squares is kept
+    hcomp.update({("sq", pos[u], pos[v]): pos[w]
+                  for (u, v), w in c.hparts[1].items() if u in pos and v in pos})
     dc = DoubleCategory(c.c0, c1, src, tgt, hid, hcomp, validate=False)
     return GammaData(dc, square_ids, tuple(tuple(sorted(pos[p] for p in level)) for level in levels))
 
@@ -313,13 +304,12 @@ def single_object_precosheaf(c: DoubleCategory) -> Precosheaf:
     on1, on2 = [], []
     for m in range(c.c0.n_morphisms):
         im = c.hid.morphism_map[m]
-        mapping = {}
+        mapping, lowered = {}, [c.c1.compose(q, im) for q in glob]
         for i, p in enumerate(glob):
             lifted = c.c1.compose(im, p)
-            matches = [j for j, q in enumerate(glob) if c.c1.compose(q, im) == lifted]
-            if len(matches) != 1:
+            if lowered.count(lifted) != 1:
                 raise StructureError("not-a-lift", f"action of {m} on payload {i} is ambiguous")
-            mapping[i] = matches[0]
+            mapping[i] = lowered.index(lifted)
         on1.append({0: 0})
         on2.append(mapping)
     phi = Precosheaf(dec, tuple(on1), tuple(on2))

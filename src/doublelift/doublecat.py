@@ -148,7 +148,8 @@ def check_double_axioms(c: DoubleCategory) -> list[tuple[str, bool, tuple | None
     ), None))
     # the rows of c1 and of the squares; hcomp-associativity reads the latter too
     rows = c1.rows, class_rows(sq, tgtm, srcm)
-    record("interchange", interchange_failure(c1.composition, c1.dom, c1.cod, sq, tgtm, srcm, rows))
+    record("interchange", interchange_failure(c1.composition, c1.dom, c1.cod, sq, tgtm, srcm,
+                                              (rows[0][1:], rows[1][1:])))
     record("hcomp-unit", next((
         (kind, x) for kind, _, table, left, right, hid in parts
         if (x := unit_failure(table, right, left, hid)) is not None

@@ -202,7 +202,7 @@ def interchange_failure(vtable, vright, vleft, htable, hright, hleft,
     operations on the cells ``0 .. n-1`` whose boundary laws hold, in which
     ``(x, y)`` composes iff ``right[x] == left[y]``.  The pairs ``(q, p)``,
     and the ``(q2, p2)`` pasted onto each, are taken in ``vtable`` order;
-    ``rows``, if given, is the ``class_rows`` of ``vtable`` and of ``htable``.
+    ``rows``, if given, is ``class_rows(...)[1:]`` of ``vtable`` and ``htable``.
 
     Up to 256 cells ``_interchange_holds`` decides the law first; only on a
     failure, or over more cells, does the scalar loop run to name the
@@ -210,8 +210,8 @@ def interchange_failure(vtable, vright, vleft, htable, hright, hleft,
     positions that the loop reads, so both take memory in proportion to the
     entries.
     """
-    (_, vpos, vrows), (_, hpos, hrows) = rows or (class_rows(vtable, vright, vleft),
-                                                  class_rows(htable, hright, hleft))
+    (vpos, vrows), (hpos, hrows) = rows or (class_rows(vtable, vright, vleft)[1:],
+                                            class_rows(htable, hright, hleft)[1:])
     if len(vrows) <= 256 and _interchange_holds(vrows, vpos, hrows, hpos, vright, vleft, hright, hleft):
         return None
     groups: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
@@ -736,8 +736,9 @@ class StrictMonoidalCategory(Frozen):
             for b in range(n_obj):
                 if t_mor[(base.identity[a], base.identity[b])] != base.identity[t_obj[(a, b)]]:
                     raise StructureError("tensor-identity", f"({a}, {b})")
-        # (g (x) g') o (f (x) f') = (g o f) (x) (g' o f'), on base.rows and t_mor's
-        fail = interchange_failure(base.composition, base.dom, base.cod, t_mor, ends, ends, (base.rows, rows))
+        # (g (x) g') o (f (x) f') = (g o f) (x) (g' o f'); t_mor's classes go, interchange reads no classes
+        rows = base.rows[1:], rows[1:]
+        fail = interchange_failure(base.composition, base.dom, base.cod, t_mor, ends, ends, rows)
         if fail:
             raise StructureError("interchange", str((fail[:2], fail[2:])))
 

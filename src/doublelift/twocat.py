@@ -101,9 +101,9 @@ class StrictBicategory(Frozen):
             if hcomp2[(id2[x], id2[y])] != id2[z]:
                 raise StructureError("horizontal-identity", f"id2 tensor at ({x}, {y})")
 
-        # interchange (exchange law), on the rows of hcomp2, the last part
-        fail = interchange_failure(vcomp, dom1, cod1, hcomp2, right, left,
-                                   (class_rows(vcomp, dom1, cod1), rows))
+        # interchange (exchange law), on vcomp's rows and hcomp2's, the last part, without their classes
+        rows = class_rows(vcomp, dom1, cod1)[1:], rows[1:]
+        fail = interchange_failure(vcomp, dom1, cod1, hcomp2, right, left, rows)
         if fail:
             raise StructureError("interchange", str((fail[:2], fail[2:])))
 

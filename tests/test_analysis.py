@@ -11,11 +11,13 @@ from doublelift.analysis import (
     gg_criterion_surjective,
     is_gg,
     reconstruct_single_object_lift,
+    single_object_precosheaf,
     v1_membership,
     validate_folding,
     vertical_chain,
     vertical_length,
 )
+from doublelift.doublecat import DoubleCategory
 from doublelift.errors import StructureError
 from doublelift.examples import fixture_by_name
 from doublelift.fincat import FiniteCategory, FunctorData, Monoid, MonoidAction, delooping
@@ -162,6 +164,25 @@ def test_reconstruction_rejects_multi_object_input():
     reconstruct_single_object_lift(dc)  # one object, fine
     with pytest.raises(StructureError, match="shape-mismatch"):
         reconstruct_single_object_lift(trivial_double_category(discrete(2)))
+
+
+# On the semidirect:z3:z2:inv lift the globular squares are 0, 1, 2, the
+# horizontal identity of the non-unit vertical morphism 1 is square 3, the
+# composites q . i_1 are 3, 4, 5 and the composites i_1 . p are 3, 5, 4.
+# Replacing 1 . i_1 by 2 . i_1 = 5 gives payload 1 two matches; replacing it
+# by the globular 0, which no q . i_1 reaches, leaves payload 2 with none.
+@pytest.mark.parametrize("composite, payload", [(5, 1), (0, 2)])
+def test_reading_the_action_rejects_a_composite_that_is_not_a_lift(composite, payload):
+    c = fixture_by_name("semidirect:z3:z2:inv").dc
+    assert c.hid.morphism_map[1] == 3 and c.c1.compose(1, 3) == 4 and c.c1.compose(2, 3) == 5
+    sq = c.c1
+    c1 = FiniteCategory(sq.n_objects, sq.dom, sq.cod, sq.identity, {**sq.composition, (1, 3): composite},
+                        validate=False)
+    mutated = DoubleCategory(c.c0, c1, c.src, c.tgt, c.hid, c.hcomp, validate=False)
+    with pytest.raises(StructureError) as info:
+        single_object_precosheaf(mutated)
+    assert info.value.law == "not-a-lift"
+    assert info.value.detail == f"action of 1 on payload {payload} is ambiguous"
 
 
 def test_surjectivity_criterion_implies_gg(corpus_lifts):
