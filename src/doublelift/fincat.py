@@ -15,6 +15,7 @@ Composition conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -60,12 +61,9 @@ class Frozen:
 # ---------------------------------------------------------------------------
 # laws of partial operations: tables {(x, y): x y} on the cells 0 .. n-1,
 # where x y is defined iff right[x] == left[y].  The cells y with left[y] == b
-# form the boundary class of b.
-
-# The per-cell passes decide a law only where the rows average at least this
-# many entries; on shorter rows a walk over the pairs costs less than their
-# set-up, and decides the law itself.
-MIN_ROW = 8
+# form the boundary class of b.  Each law's byte pass decides it whenever
+# the cells fit in a byte, at most 256 of them; a walk decides it over more
+# cells, and names the first failure.
 
 
 def boundary_classes(left) -> dict[int, list[int]]:
@@ -133,14 +131,13 @@ def associativity_failure(table, right, left, pairs, rows=None) -> tuple[int, in
 
     Up to 256 cells ``_associative`` decides the law per cell, one
     comparison for every ``y`` and ``z`` of a cell ``x``; only on a
-    failure, on short rows (``MIN_ROW``) or over more cells does the walk
-    run, which names the triple.  It takes the pairs one at a time: over all
-    ``z``, ``(x y) z`` is row ``x y`` of ``class_rows`` and ``x (y z)`` is
-    row ``x`` read at the positions of the values of row ``y``, one row
-    comparison in C.
+    failure, or over more cells, does the walk run, which names the
+    triple.  It takes the pairs one at a time: over all ``z``, ``(x y) z``
+    is row ``x y`` of ``class_rows`` and ``x (y z)`` is row ``x`` read at
+    the positions of the values of row ``y``, one row comparison in C.
     """
     classes, pos, rows = rows or class_rows(table, right, left)
-    if MIN_ROW * len(rows) <= len(table) and len(rows) <= 256 and _associative(rows, right, classes, pos):
+    if len(rows) <= 256 and _associative(rows, right, classes, pos):
         return None
     rows = [tuple(row) for row in rows]
     # itemgetter reads one position as an item, not as a 1-tuple
@@ -167,21 +164,11 @@ def _associative(rows, right, classes, pos) -> bool:
                for row, b in zip(rows, right))
 
 
-def preservation_pays(pairs: int, mapping, right, n_target: int) -> bool:
-    """Whether ``preserves`` is worth running on a source of ``pairs``
-    products, that is, costs less than a walk over them: its rows average
-    at least ``MIN_ROW`` entries, and each target row it reads serves four
-    source cells or more, as it does for the sides of a lift.  An injective
-    map, such as ``hid``, reads as many target products as the walk."""
-    return (MIN_ROW * len(mapping) <= pairs and 4 * len(set(zip(mapping, right))) <= len(mapping)
-            and max(len(mapping), n_target) <= 256)
-
-
-def preserves(rows, right, classes, mapping, image_row) -> bool:
+def preserves(rows, right, classes, mapping, table) -> bool:
     """Whether ``mapping`` takes products to products, where ``rows``,
     ``right`` and ``classes`` are the source's, as ``class_rows`` gives
-    them, ``image_row(u, vs)`` iterates the target products ``u v`` over
-    ``vs``, and both sides have at most 256 cells.
+    them, ``table`` is the target's composition, and both sides have at
+    most 256 cells.
 
     Per source cell ``x``, row ``x`` through ``mapping`` is compared with
     the target row of ``mapping[x]`` read at the images of the class of
@@ -190,7 +177,7 @@ def preserves(rows, right, classes, mapping, image_row) -> bool:
     images = {b: [mapping[y] for y in members] for b, members in classes.items()}
     wanted = dict.fromkeys(zip(mapping, right))
     for u, b in wanted:
-        wanted[u, b] = bytes(image_row(u, images.get(b, ())))
+        wanted[u, b] = bytes(map(table.__getitem__, zip(itertools.repeat(u), images.get(b, ()))))
     return b"".join(map(bytes, rows)).translate(bytes(mapping).ljust(256, b"\0")) == \
         b"".join(map(wanted.__getitem__, zip(mapping, right)))
 
@@ -359,14 +346,8 @@ class MonoidMorphism(Frozen):
             raise StructureError("map-range", "value outside target")
         if mapping[src.unit] != tgt.unit:
             raise StructureError("unit-preservation", f"unit maps to {mapping[src.unit]}")
-        # one boundary class: every pair composes
-        n, table = src.size, tgt.table
-        ends = (0,) * n
-        if preservation_pays(n * n, mapping, ends, tgt.size) and preserves(
-                src.table, ends, {0: range(n)}, mapping, lambda u, vs: map(table[u].__getitem__, vs)):
-            return
         for x, row in enumerate(src.table):
-            image = table[mapping[x]]
+            image = tgt.table[mapping[x]]
             for y, v in enumerate(row):
                 if mapping[v] != image[mapping[y]]:
                     raise StructureError("product-preservation", f"({x}, {y})")
@@ -533,19 +514,25 @@ class FiniteCategory(Frozen):
             raise StructureError("table-shape", f"expected {self.n_objects} identity entries")
         if any(not 0 <= a < self.n_objects for a in dom + cod):
             raise StructureError("boundary-range", "dom/cod outside object range")
+        # one walk: a range failure raises at once, the first boundary one after the identities
+        bad = None
         for (g, f), h in comp.items():
             if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor):
                 raise StructureError("composition-range", f"entry ({g}, {f})")
+            if bad is None and (cod[f] != dom[g] or dom[h] != dom[f] or cod[h] != cod[g]):
+                bad = g, f, h
         for a, i in enumerate(identity):
             if not 0 <= i < n_mor or dom[i] != a or cod[i] != a:
                 raise StructureError("identity-boundary", f"identity of object {a}")
-        for (g, f), h in comp.items():
+        if bad:
+            g, f, h = bad
             if cod[f] != dom[g]:
                 raise StructureError("composition-domain", f"({g}, {f}) not composable")
-            if dom[h] != dom[f] or cod[h] != cod[g]:
-                raise StructureError("composite-boundary", f"({g}, {f}) -> {h}")
-        fail = totality_failure(comp, dom, cod)
-        if fail:
+            raise StructureError("composite-boundary", f"({g}, {f}) -> {h}")
+        # every key composes now: the table is total iff it has a key per composable pair
+        ending = Counter(cod)
+        if len(comp) < sum(ending[a] for a in dom):
+            fail = totality_failure(comp, dom, cod)
             raise StructureError("composition-totality", f"({fail[0]}, {fail[1]}) missing")
         f = unit_failure(comp, dom, cod, identity)
         if f is not None:
@@ -642,7 +629,7 @@ class FunctorData(Frozen):
 
     The check takes the maps' shape and range, then boundaries and
     identities per cell, then composition: ``preserves`` decides it per
-    source morphism where that pays (``preservation_pays``), and a walk
+    source morphism when both sides have at most 256 morphisms, and a walk
     over the source composition, in table order, decides it otherwise and
     names the first pair that is not preserved."""
 
@@ -668,13 +655,12 @@ class FunctorData(Frozen):
         for a in range(source.n_objects):
             if mmap[source.identity[a]] != target.identity[omap[a]]:
                 raise StructureError("identity-preservation", f"object {a}")
-        comp, tcomp = source.composition, target.composition
-        if preservation_pays(len(comp), mmap, source.dom, target.n_morphisms):
+        tcomp = target.composition
+        if max(source.n_morphisms, target.n_morphisms) <= 256:
             classes, _, rows = source.rows
-            if preserves(rows, source.dom, classes, mmap,
-                         lambda u, vs: map(tcomp.__getitem__, zip(itertools.repeat(u), vs))):
+            if preserves(rows, source.dom, classes, mmap, tcomp):
                 return
-        for (g, f), h in comp.items():
+        for (g, f), h in source.composition.items():
             if tcomp[mmap[g], mmap[f]] != mmap[h]:
                 raise StructureError("composition-preservation", f"({g}, {f})")
 

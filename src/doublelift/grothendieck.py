@@ -130,16 +130,12 @@ def extended_total(dec: DecoratedBicategory, phi: Precosheaf
     ending_at: list[list[int]] = [[] for _ in range(b.n1)]  # the morphisms into each 1-cell
     for p, x in enumerate(cod):
         ending_at[x].append(p)
-    for q, x in enumerate(dom):
+    # the pair composite q after p: (f_q f_p, x_p, p_q . Phi_{f_q}(p_p)); a
+    # non-endo p lies over an identity, whose Phi fixes it
+    for q, (fq, x, pq) in enumerate(keys):
+        act = phi.on_cells2[fq]
         for p in ending_at[x]:
-            if not b.is_endo_1cell(dom[p]):
-                # both live in the non-endo part: plain vertical composition
-                comp[(q, p)] = b.vcomp[(q, p)]
-            else:
-                # the pair composite q after p: (f_q f_p, x_p, p_q . Phi_{f_q}(p_p))
-                fq, _, pq = keys[q]
-                fp, xp, pp = keys[p]
-                comp[(q, p)] = key_index[(bstar.compose(fq, fp), xp,
-                                          b.vcomp[(pq, phi.on_cells2[fq][pp])])]
+            fp, xp, pp = keys[p]
+            comp[q, p] = key_index[bstar.composition[fq, fp], xp, b.vcomp[pq, act.get(pp, pp)]]
     cat = FiniteCategory(b.n1, dom, cod, identity, comp, validate=False)
     return cat, key_index

@@ -2,13 +2,13 @@
 brute-force loop.
 
 ``fincat.associativity_failure`` decides associativity per cell on byte
-rows (``fincat._associative``), and ``FunctorData`` and ``MonoidMorphism``
-decide whether products are kept per source cell (``fincat.preserves``).
-The walks that name the first failure run only on a failure, on short rows
-or over more than 256 cells.  On the table-law oracle seeds, the corpus
-lifts' tables and structure functors, and larger lifts and monoids, intact
-or with one entry or one image replaced by another cell with the same
-boundaries, so that every boundary law still holds:
+rows (``fincat._associative``), and ``FunctorData`` decides whether
+products are kept per source cell (``fincat.preserves``); ``MonoidMorphism``
+walks its table.  The walks that name the first failure run only on a
+failure or over more than 256 cells.  On the table-law oracle seeds, the
+corpus lifts' tables and structure functors, and larger lifts and monoids,
+intact or with one entry or one image replaced by another cell with the
+same boundaries, so that every boundary law still holds:
 
 * each pass holds exactly when the brute-force loop finds no failure;
 * the walk, the kernel and the constructors name the brute-force loop's
@@ -83,8 +83,7 @@ def _lift_tables(tag, dc):
 
 @lru_cache(maxsize=None)
 def _large_lifts():
-    # 27 squares each, so that rows are long enough for the per-cell passes
-    # to run inside the kernel; the graded lift has three boundary classes
+    # 27 squares each; the graded lift has three boundary classes
     return [(name, fixture_by_name(name).dc) for name in ("semidirect:z9:z3:triv", "graded:z3:z3:triv")]
 
 
@@ -142,9 +141,7 @@ def brute_functor(source: FiniteCategory, target: FiniteCategory, mmap):
 
 def functor_pass(source: FiniteCategory, target: FiniteCategory, mmap) -> bool:
     classes, _, rows = fincat.class_rows(source.composition, source.dom, source.cod)
-    comp = target.composition
-    return fincat.preserves(rows, source.dom, classes, mmap,
-                            lambda u, vs: [comp[u, v] for v in vs])
+    return fincat.preserves(rows, source.dom, classes, mmap, target.composition)
 
 
 def brute_morphism(source: Monoid, target: Monoid, mapping):
@@ -155,12 +152,12 @@ def brute_morphism(source: Monoid, target: Monoid, mapping):
 def morphism_pass(source: Monoid, target: Monoid, mapping) -> bool:
     n = source.size
     return fincat.preserves(source.table, (0,) * n, {0: range(n)}, mapping,
-                            lambda u, vs: [target.mul(u, v) for v in vs])
+                            {(u, v): w for u, row in enumerate(target.table) for v, w in enumerate(row)})
 
 
 def _outcomes(cls, args):
-    """The constructor's failure, with the per-cell pass running where its
-    rows are long enough and with the pass skipped, so that the walk runs."""
+    """The constructor's failure, with the per-cell pass running where it
+    decides and with the pass skipped, so that the walk runs."""
     out = []
     for skip in (False, True):
         with pytest.MonkeyPatch.context() as patch:
@@ -208,7 +205,7 @@ def _functors() -> list[tuple[str, FunctorData]]:
 @lru_cache(maxsize=None)
 def _morphisms() -> list[tuple[str, Monoid, Monoid, tuple[int, ...]]]:
     """The table-law oracle's monoid endomorphisms, and morphisms out of Z8
-    and Z9, whose rows have ``MIN_ROW`` entries or more."""
+    and Z9."""
     out = [(f"monoid-morphism[{i}]", *args) for i, (args, _) in enumerate(_seeds()["monoid-morphism"])]
     for n in (8, 9):
         zn = Monoid.cyclic(n)
@@ -244,29 +241,30 @@ def test_every_intact_input_passes_every_check():
         assert _agree_morphism(source, target, mapping, tag) is None
 
 
-def test_long_rows_are_decided_by_the_per_cell_passes():
-    # tables whose rows average MIN_ROW entries or more are decided by the
-    # associativity pass inside the kernel, with no walk.  Preservation is
-    # decided by its pass where each target row read serves four source
-    # cells: src and tgt of the semidirect lift (27 squares onto 3
-    # morphisms) and Z12 onto Z3, not the graded lift's (9 target rows for
-    # 27 squares), nor any hid, which is injective
+def test_up_to_256_cells_the_passes_decide():
+    # every table and functor with at most 256 cells is decided by its byte
+    # pass, which holds, so no walk runs; a monoid morphism is decided by
+    # its walk and never calls the pass
+    tables = [args for _, args in _tables() if len(args[1]) <= 256]
+    functors = [functor for _, functor in _functors()
+                if max(functor.source.n_morphisms, functor.target.n_morphisms) <= 256]
+    morphisms = _morphisms()
     calls = []
-    associative, preserves = fincat._associative, fincat.preserves
-    z12, z3 = Monoid.cyclic(12), Monoid.cyclic(3)
+
+    def spy(name, kernel):
+        return lambda *args: calls.append((name, kernel(*args))) or calls[-1][1]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fincat, "_associative", lambda *args: calls.append("a") or associative(*args))
-        patch.setattr(fincat, "preserves", lambda *args: calls.append("p") or preserves(*args))
-        long = [args for _, args in _tables() if fincat.MIN_ROW * len(args[1]) <= len(args[0])]
-        for args in long:
+        patch.setattr(fincat, "_associative", spy("a", fincat._associative))
+        patch.setattr(fincat, "preserves", spy("p", fincat.preserves))
+        for args in tables:
             assert associativity_failure(*args) is None
-        assert calls == ["a"] * len(long) and len(long) >= 8
-        for tag, functor in _functors()[-6:]:
-            calls.append(tag)
+        for functor in functors:
             FunctorData(functor.source, functor.target, functor.object_map, functor.morphism_map)
-        MonoidMorphism(z12, z3, tuple(x % 3 for x in range(12)))
-    lifts = [tag for tag, _ in _functors()[-6:]]
-    assert calls[len(long):] == [lifts[0], "p", lifts[1], "p", *lifts[2:], "p"]
+        for _, source, target, mapping in morphisms:
+            MonoidMorphism(source, target, mapping)
+    assert calls == [("a", True)] * len(tables) + [("p", True)] * len(functors)
+    assert len(tables) > 100 and len(functors) > 30
 
 
 def test_each_row_set_is_built_once():
@@ -331,7 +329,7 @@ def test_every_changed_image_agrees():
                 failed += _agree_functor(functor.source, functor.target, functor.object_map, mmap,
                                          (tag, f, choice)) is not None
     for tag, source, target, mapping in _morphisms():
-        if source.size >= fincat.MIN_ROW:
+        if source.size >= 8:
             for x, v in itertools.product(range(source.size), range(target.size)):
                 checked += 1
                 failed += _agree_morphism(source, target, mapping[:x] + (v,) + mapping[x + 1:],
@@ -361,8 +359,8 @@ def _copies(m: Monoid, k: int) -> FiniteCategory:
 
 
 def test_over_256_cells_the_walks_decide():
-    # long rows, and a functor whose target rows each serve 33 source
-    # cells, so only the size of the bytes keeps the passes from running
+    # with the passes patched out, a table and a functor over 256 cells
+    # are decided, and their failures named, by the walks alone
     cat = _copies(Monoid.cyclic(8), 33)
     args = _category(cat.composition, cat.dom, cat.cod)
     n = 264
